@@ -53,7 +53,6 @@ from .polynomials import (
     mod_square_class_rf,
     poly_gcd,
     rational_roots,
-    rf_evaluate,
     squarefree_part_poly,
 )
 from .rationals import (

@@ -109,17 +109,6 @@ def is_cm_j(j: RationalLike) -> bool:
 
 
 @dataclass(frozen=True)
-class CmRecord:
-    j: Fraction
-    in_cm_set: bool
-
-
-def cm_record(j: RationalLike) -> CmRecord:
-    j = as_fraction(j)
-    return CmRecord(j, j in _CM_SET)
-
-
-@dataclass(frozen=True)
 class CmIsogenyGraph:
     """The four CM curves around y^2 = x^3 - t^2 x and its 2-isogenies."""
 

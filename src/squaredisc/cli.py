@@ -25,13 +25,7 @@ from .families import family, theorem1_j
 from .curve_search import search_C, search_X
 from .isogeny import chain_check, modular_poly_check
 from .polynomials import PoleError
-from .rationals import (
-    DEFAULT_TRIAL_BOUND,
-    FactorizationError,
-    as_fraction,
-    sqrt_rational,
-    squarefree_part,
-)
+from .rationals import FactorizationError, as_fraction, sqrt_rational, squarefree_part
 from .verify import DEFAULT_HEIGHT, DEFAULT_SAMPLES, DEFAULT_SEED, SUITES, run_suite
 from .weierstrass import (
     ShortModel,
@@ -60,7 +54,7 @@ def cmd_classify(args) -> dict:
     direct = square_disc_direct(general)
     routed = square_disc_by_j(general)
     try:
-        disc_class = squarefree_part(inv.disc, args.factor_bound)
+        disc_class = squarefree_part(inv.disc)
     except FactorizationError:
         disc_class = None
     verdicts = [
@@ -189,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common],
                        help="classify a curve given by [a1,a2,a3,a4,a6] or [A,B]")
     p.add_argument("curve", help='e.g. "[-1, 0]" or "[0,-1,1,0,0]"; entries may be "p/q"')
-    p.add_argument("--factor-bound", type=int, default=DEFAULT_TRIAL_BOUND,
-                   help="trial-division bound for the square-class factorization")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("family", parents=[common], help="emit a square-discriminant family member")

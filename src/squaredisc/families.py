@@ -28,8 +28,10 @@ from .polynomials import (
     parse_poly,
     parse_rational_function,
     poly_gcd,
+    rational_roots,
     rf_sqrt,
 )
+# sqrt_rational is unused here, but perfbench/tracing.py wraps families.sqrt_rational
 from .rationals import RationalLike, as_fraction, is_square_rational, sqrt_rational
 
 GENUS_ZERO_LEVELS = (2, 3, 4, 6, 7, 8)
@@ -362,36 +364,19 @@ def solve_param_C(
 ) -> Optional[Fraction]:
     """Find t with (hC(t), yC(t)) == (h, y) exactly, if one exists.
 
-    Only meaningful for the genus-0 levels; the h-parametrizations are at
-    most quadratic in t, so the preimages come from an exact quadratic
-    solve.
+    Only meaningful for the genus-0 levels; the candidate preimages are
+    the rational roots of hC.num - h * hC.den.
     """
     fam = family(N, data_dir)
     if fam.h_param_C is None:
         raise ValueError(f"C_{N} has positive genus")
     h = as_fraction(h)
     y = as_fraction(y)
-    # candidates: rational roots of hC.num - h * hC.den
     poly = fam.h_param_C.num - Poly.const(h) * fam.h_param_C.den
-    for t in _quadratic_roots(poly):
+    for t in rational_roots(poly):
         try:
             if fam.h_param_C(t) == h and fam.y_param_C(t) == y:
                 return t
         except PoleError:
             continue
     return None
-
-
-def _quadratic_roots(p: Poly) -> list[Fraction]:
-    if p.degree <= 0:
-        return []
-    if p.degree == 1:
-        return [-p.coeffs[0] / p.coeffs[1]]
-    if p.degree == 2:
-        c, b, a = p.coeffs
-        disc = b * b - 4 * a * c
-        root = sqrt_rational(disc)
-        if root is None:
-            return []
-        return sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
-    raise ValueError("parametrization solver expects degree <= 2")

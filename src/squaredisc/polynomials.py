@@ -4,7 +4,10 @@ Everything is exact: coefficients are ``Fraction`` values, rational
 functions are kept reduced with monic denominator, and the mod-squares
 reduction used by the congruence checks is computed through Yun's
 squarefree decomposition.  Degrees in this project stay around 30, so the
-dense representation and primitive-PRS gcd are entirely adequate.
+dense representation and primitive-PRS gcd are entirely adequate.  Rational
+roots come from one integer-only finder: the monic transform turns them into
+integer roots, which a Sturm chain over Z and bisection on integer endpoints
+locate with plain-int Horner evaluation.
 """
 
 from __future__ import annotations
@@ -249,21 +252,19 @@ def _coerce_poly(value):
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient sequences (ascending)."""
+    """Remainder of |lc(b)|^k * a on division by b, for integer coefficient
+    sequences (ascending).  The multiplier is positive, so the result has
+    the sign of a mod b, as Sturm chains need."""
     a = a[:]
     db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        top = a[-1]
-        a = [c * lb for c in a]
-        for i, c in enumerate(b):
-            a[k + i] -= top * c
-        a.pop()
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) > db:
+        top = a.pop() * sign
+        if top:
+            k = len(a) - db
+            a = [c * scale for c in a]
+            for i, c in enumerate(b[:-1]):
+                a[k + i] -= top * c
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -499,11 +500,6 @@ def _coerce_rf(value):
     return NotImplemented
 
 
-def rf_evaluate(f: RationalFunction, h0: Scalar) -> Fraction:
-    """Exact evaluation; raises PoleError at poles of f."""
-    return f(h0)
-
-
 def mod_square_class_rf(f: RationalFunction) -> tuple[Poly, Fraction]:
     """Reduce f modulo squares of rational functions.
 
@@ -653,127 +649,66 @@ def parse_poly(text: str, var: str) -> Poly:
 # -- exact rational roots ----------------------------------------------------
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
-    return chain
+def _horner(v: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(v):
+        acc = acc * x + c
+    return acc
 
 
-def _sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _reconstruct(approx: Fraction, den_bound: int) -> list[Fraction]:
-    """Continued-fraction convergents of approx with denominator <= bound."""
-    out = []
-    p_prev, q_prev = 0, 1
-    p_cur, q_cur = 1, 0
-    x = approx
-    for _ in range(512):
-        a = math.floor(x)
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > den_bound:
-            break
-        out.append(Fraction(p_cur, q_cur))
-        frac = x - a
-        if frac == 0:
-            break
-        x = 1 / frac
-    return out
-
-
-def _rational_roots_core(P: Poly) -> set[Fraction]:
-    """Rational roots of a squarefree primitive integer polynomial."""
-    roots: set[Fraction] = set()
-    if P.degree <= 0:
-        return roots
-    if P.degree == 1:
-        roots.add(-P.coeffs[0] / P.coeffs[1])
-        return roots
-    lc = abs(int(P.lc))
-    bound = Fraction(1) + max(abs(c) for c in P.coeffs) / Fraction(lc)
-    chain = _sturm_chain(P)
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    # isolate real roots into disjoint intervals with non-root endpoints;
-    # on an exact midpoint hit, deflate and restart on the quotient
-    work = [(-bound, bound)]
-    isolated: list[tuple[Fraction, Fraction]] = []
-    while work:
-        a, b = work.pop()
-        n = count(a, b)
-        if n == 0:
-            continue
-        if n == 1:
-            isolated.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if P(mid) == 0:
-            quotient = P.exact_div(Poly([-mid, 1]))
-            _, ints = quotient.int_primitive()
-            return {mid} | _rational_roots_core(Poly(ints))
-        work.append((a, mid))
-        work.append((mid, b))
-
-    precision = 2 * lc.bit_length() + 8
-    target_width = Fraction(1, 1 << precision)
-    for a, b in isolated:
-        lo, hi = a, b
-        flo = P(lo)
-        while hi - lo > target_width:
-            mid = (lo + hi) / 2
-            fm = P(mid)
-            if fm == 0:
-                roots.add(mid)
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        else:
-            approx = (lo + hi) / 2
-            for cand in _reconstruct(approx, lc):
-                # the interval isolates exactly one root; a convergent may
-                # hit a different root of P, so insist on containment
-                if lo <= cand <= hi and P(cand) == 0:
-                    roots.add(cand)
-                    break
-    return roots
+def _sign_changes(chain: Sequence[Sequence[int]], x: int) -> int:
+    signs = [v > 0 for v in (_horner(c, x) for c in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of p, exactly, without factoring any integers.
 
-    Real roots are isolated with Sturm sequences, refined by dyadic
-    bisection past the classical 1/(2q^2) approximation threshold (the
-    denominator q of a rational root divides the leading coefficient), and
-    candidate rationals are reconstructed by continued fractions and
-    verified by exact substitution.
+    Let P be the squarefree primitive integer form of p, with leading
+    coefficient a > 0 and degree d.  Every rational root of P is z/a for an
+    integer root z of the monic Q(z) = a^(d-1) * P(z/a), and |z| < a + max|P|
+    by Cauchy's bound.  The Sturm chain of P over Z, carried through the same
+    substitution, counts the roots of Q in half-open integer intervals;
+    bisection on integer endpoints, with plain-int Horner evaluation, then
+    pins each root to a unit interval and keeps it if it is an integer.
     """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
-    roots: set[Fraction] = set()
-    coeffs = list(p.coeffs)
-    k = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-    p = Poly(coeffs)
-    if p.degree <= 0:
-        return sorted(roots)
-    p = squarefree_part_poly(p)
-    _, ints = p.int_primitive()
-    return sorted(roots | _rational_roots_core(Poly(ints)))
+    _, P = squarefree_part_poly(p).int_primitive()
+    a, d = P[-1], len(P) - 1
+    if d < 1:
+        return []
+    chain = [list(P), [i * c for i, c in enumerate(P)][1:]]
+    while len(chain[-1]) > 1:
+        # next member: -(previous mod current), divided by its positive content
+        r = _int_pseudo_rem(chain[-2], chain[-1])
+        g = reduce(math.gcd, r, 0)
+        chain.append([-c // g for c in r])
+    # a^deg(v) * v(z/a) has the sign of v(z/a), and chain[0] becomes a * Q
+    chain = [[c * a ** (len(v) - 1 - i) for i, c in enumerate(v)] for v in chain]
+    q = chain[0]
+    bound = a + max(abs(c) for c in P)
+    roots = []
+    work = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+    while work:
+        lo, hi, vlo, vhi = work.pop()
+        if vlo == vhi:
+            continue
+        if vlo - vhi > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = _sign_changes(chain, mid)
+            work += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+            continue
+        # one simple root in (lo, hi], or the unit interval's only integer hi:
+        # q keeps the sign of q(hi) on the root's right and flips on its left
+        qhi = _horner(q, hi)
+        while qhi and hi - lo > 1:
+            mid = (lo + hi) // 2
+            qmid = _horner(q, mid)
+            if qmid == 0 or (qmid > 0) == (qhi > 0):
+                hi, qhi = mid, qmid
+            else:
+                lo = mid
+        if qhi == 0:
+            roots.append(Fraction(hi, a))
+    return sorted(roots)

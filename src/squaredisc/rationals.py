@@ -3,8 +3,9 @@
 Rationals are plain ``fractions.Fraction`` values (always in lowest terms,
 positive denominator), so every operation here is pure and exact.  Square
 testing never factors anything: it only needs integer square roots.  The
-square-class and n-th-power-free computations do factor, with trial
-division first and a Pollard rho fallback for stray large cofactors.
+square-class and n-th-power-free computations do factor: the sieved primes
+below 2^14 are divided out, and Pollard rho splits whatever cofactor is
+left.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 RationalLike = Union[Fraction, int, str]
-
-DEFAULT_TRIAL_BOUND = 10 ** 6
 
 _SIEVE_LIMIT = 1 << 14
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -107,31 +106,24 @@ def _pollard_rho(n: int) -> int:
     raise FactorizationError(f"Pollard rho gave up on {n}")
 
 
-def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| (n != 0) as an exponent dictionary.
 
-    Trial division runs up to ``trial_bound`` (sieve-assisted, with early
-    exit once the cofactor is proved prime), then Pollard rho splits any
-    remaining composite.  Raises FactorizationError rather than guessing.
+    Trial division by the sieved primes below 2^14 stops once p^2 exceeds
+    the cofactor; Pollard rho then splits any remaining composite, which
+    has no prime factor below 2^14.  Raises FactorizationError rather than
+    guessing.
     """
     if n == 0:
         raise ValueError("zero has no factorization")
     n = abs(n)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
-        if p > trial_bound or p * p > n:
+        if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1 and _SIEVE_LIMIT < trial_bound and n > _SIEVE_LIMIT * _SIEVE_LIMIT:
-        if not is_probable_prime(n):
-            d = _SIEVE_LIMIT + 1 - (_SIEVE_LIMIT % 2)
-            while d <= trial_bound and d * d <= n:
-                while n % d == 0:
-                    out[d] = out.get(d, 0) + 1
-                    n //= d
-                d += 2
     if n > 1:
         stack = [n]
         while stack:
@@ -175,13 +167,6 @@ def nth_root_rational(r: RationalLike, n: int) -> Optional[Fraction]:
         root = nth_root_rational(-r, n)
         return None if root is None else -root
     def iroot(m: int) -> Optional[int]:
-        if m in (0, 1):
-            return m
-        k = round(m ** (1.0 / n))
-        for cand in (k - 1, k, k + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        # float guess can be off for huge m; fall back to bisection
         lo, hi = 0, 1 << (m.bit_length() // n + 2)
         while lo <= hi:
             mid = (lo + hi) // 2
@@ -210,7 +195,7 @@ def is_square_rational(r: RationalLike) -> bool:
     return sqrt_rational(r) is not None
 
 
-def squarefree_part(r: RationalLike, trial_bound: int = DEFAULT_TRIAL_BOUND) -> int:
+def squarefree_part(r: RationalLike) -> int:
     """The unique squarefree integer m with r = m * s^2 for some rational s.
 
     Raises ValueError on r = 0 (zero is not a unit of Q).
@@ -222,7 +207,7 @@ def squarefree_part(r: RationalLike, trial_bound: int = DEFAULT_TRIAL_BOUND) -> 
     n = r.numerator * r.denominator
     sign = -1 if n < 0 else 1
     out = sign
-    for p, e in factorize(n, trial_bound).items():
+    for p, e in factorize(n).items():
         if e % 2:
             out *= p
     return out
@@ -237,9 +222,7 @@ def same_square_class(a: RationalLike, b: RationalLike) -> bool:
     return sqrt_rational(a / b) is not None
 
 
-def nth_power_free_part(
-    r: RationalLike, n: int, trial_bound: int = DEFAULT_TRIAL_BOUND
-) -> Fraction:
+def nth_power_free_part(r: RationalLike, n: int) -> Fraction:
     """Representative of r modulo n-th powers, for n in {2, 4, 6}.
 
     The result has integer numerator and denominator free of n-th-power
@@ -252,9 +235,9 @@ def nth_power_free_part(
         raise ValueError("not a unit of Q")
     num = 1
     den = 1
-    for p, e in factorize(r.numerator, trial_bound).items():
+    for p, e in factorize(r.numerator).items():
         num *= p ** (e % n)
-    for p, e in factorize(r.denominator, trial_bound).items():
+    for p, e in factorize(r.denominator).items():
         den *= p ** (e % n)
     sign = -1 if r < 0 else 1
     return Fraction(sign * num, den)

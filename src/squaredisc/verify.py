@@ -378,17 +378,8 @@ def run_suite(
 ):
     if name == "all":
         verdicts, bad = [], []
-        for key in (
-            "congruences",
-            "tables-C",
-            "tables-X",
-            "finite-cases",
-            "cm",
-            "thm1",
-            "thm2",
-            "prop-equivalence",
-        ):
-            v, b = _SUITE_TABLE[key](height, samples, seed, data_dir)
+        for suite in _SUITE_TABLE.values():
+            v, b = suite(height, samples, seed, data_dir)
             verdicts.extend(v)
             bad.extend(b)
         return verdicts, bad

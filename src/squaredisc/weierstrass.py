@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
+# factorize is unused here, but perfbench/tracing.py wraps weierstrass.factorize
 from .rationals import RationalLike, as_fraction, factorize
 
 
@@ -176,33 +177,13 @@ def transform(m: AnyModel, c: ChangeOfVariables) -> GeneralModel:
     return GeneralModel(a1n, a2n, a3n, a4n, a6n)
 
 
-def _clearing_scale(a0: Fraction, b0: Fraction) -> int:
-    """Least positive k with k^4*a0 and k^6*b0 integral."""
-    need = math.lcm(a0.denominator, b0.denominator)
-    if need == 1:
-        return 1
-    k = 1
-    for p, _ in factorize(need).items():
-        e4 = 0
-        d = a0.denominator
-        while d % p == 0:
-            e4 += 1
-            d //= p
-        e6 = 0
-        d = b0.denominator
-        while d % p == 0:
-            e6 += 1
-            d //= p
-        k *= p ** max(-(-e4 // 4), -(-e6 // 6))
-    return k
-
-
 def short_form(m: AnyModel) -> tuple[ShortModel, ChangeOfVariables]:
     """Short Weierstrass model plus the coordinate change that reaches it.
 
     transform(m, cov) equals the returned short model; j is preserved and
-    disc(m) = u^12 * disc(short).  The scale is chosen to clear any
-    denominators the completed-square coefficients would otherwise carry.
+    disc(m) = u^12 * disc(short).  The scale u = 1/k with
+    k = lcm(den a0, den b0) clears the denominators of the completed-square
+    coefficients a0 = -c4/48 and b0 = -c6/864, without factoring anything.
     """
     g = as_general(m)
     if g.a1 == 0 and g.a2 == 0 and g.a3 == 0:
@@ -210,7 +191,7 @@ def short_form(m: AnyModel) -> tuple[ShortModel, ChangeOfVariables]:
     inv = g.invariants()
     a0 = -inv.c4 / 48
     b0 = -inv.c6 / 864
-    k = _clearing_scale(a0, b0)
+    k = math.lcm(a0.denominator, b0.denominator)
     # kill a1, a3, then a2, then rescale by u = 1/k
     cov = ChangeOfVariables(1, 0, -g.a1 / 2, -g.a3 / 2)
     cov = cov.compose(ChangeOfVariables(1, -inv.b2 / 12, 0, 0))

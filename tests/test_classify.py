@@ -1,9 +1,11 @@
 """The square-discriminant classifier and the CM machinery."""
 
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from squaredisc.classify import (
     CM_J_INVARIANTS,
@@ -43,6 +45,32 @@ def test_square_disc_by_j_branches():
     v = square_disc_by_j(curve_from_j(1729))
     assert v.is_square and v.branch == "generic-j" and v.witness == 1
     assert v.witness ** 2 == F(1729) - 1728
+
+
+def test_j1728_verdict_does_not_factor_the_model_denominators():
+    # u = p*q, a product of two 19-digit primes, puts p*q into the
+    # denominators of the long model; splitting it would take Pollard rho
+    # about 10^9 steps, so a verdict inside the alarm shows nothing factors.
+    p, q = sympy.nextprime(10 ** 18), sympy.nextprime(2 * 10 ** 18)
+    cov = ChangeOfVariables(p * q, F(3, 7), F(-2, 5), F(1, 11))
+
+    def overrun(signum, frame):
+        raise TimeoutError("square_disc_by_j overran its 5 s bound")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    try:
+        for A, square in ((-4, True), (1, False), (-2, False), (F(-9, 25), True)):
+            m = transform(ShortModel(A, 0), cov)
+            assert m.a1 != 0 and m.j == 1728
+            signal.alarm(5)
+            v = square_disc_by_j(m)
+            signal.alarm(0)
+            assert v.branch == "j-1728"
+            assert v.is_square == square == square_disc_direct(m)
+            assert (v.witness is not None) == square
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_curve_from_j():

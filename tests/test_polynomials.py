@@ -1,10 +1,13 @@
 """Polynomial algebra over Q: gcd, squarefree structure, square classes."""
 
 import random
+from datetime import timedelta
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from squaredisc.polynomials import (
     PoleError,
@@ -16,7 +19,6 @@ from squaredisc.polynomials import (
     parse_rational_function,
     poly_gcd,
     rational_roots,
-    rf_evaluate,
     rf_sqrt,
     squarefree_decomposition,
     squarefree_part_poly,
@@ -116,16 +118,16 @@ def test_mod_square_class_is_square_invariant():
         assert is_square_rational(c1 / c2)
 
 
-def test_rf_evaluate():
+def test_rf_call():
     j2 = parse_rational_function("(h+16)^3/h", "h")
-    assert rf_evaluate(j2, 8) == 1728
+    assert j2(8) == 1728
     with pytest.raises(PoleError, match="cusp"):
-        rf_evaluate(j2, 0)
+        j2(0)
     F2 = parse_rational_function("h*(h+64)", "h")
-    assert rf_evaluate(F2, 36) == 3600
+    assert F2(36) == 3600
 
 
-def test_rf_evaluate_matches_direct_evaluation():
+def test_rf_call_matches_direct_evaluation():
     rng = random.Random(13)
     checked = 0
     while checked < 1000:
@@ -198,6 +200,30 @@ def test_rational_roots():
             p = p * Poly([-r, 1])
         p = p * (h ** 2 + rng.randint(1, 5))  # irrational/complex factor
         assert rational_roots(p) == roots, roots
+
+
+_rationals = st.builds(F, st.integers(-(10 ** 12), 10 ** 12), st.integers(1, 10 ** 12)) | st.just(F(0))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True)
+@given(
+    lead=st.integers(-(10 ** 20), 10 ** 20).filter(bool),
+    roots=st.lists(st.tuples(_rationals, st.integers(1, 3)), max_size=5),
+    cofactor=st.lists(st.integers(-(10 ** 60), 10 ** 60), max_size=6),
+)
+def test_rational_roots_against_sympy(lead, roots, cofactor):
+    """Degree 1-8, repeated and zero roots, non-monic, coefficients of up
+    to about 60 digits (the cofactor alone reaches 60)."""
+    p = Poly.const(lead)
+    for r, mult in roots:
+        p = p * Poly([-r, 1]) ** mult
+    if cofactor and cofactor[-1]:
+        p = p * Poly(cofactor)
+    assume(1 <= p.degree <= 8)
+    x = sympy.Symbol("x")
+    linear = [f for f, _ in sympy.factor_list(_to_sympy(p, x), x)[1] if sympy.degree(f, x) == 1]
+    expected = sorted(F(str(sympy.solve(f, x)[0])) for f in linear)
+    assert rational_roots(p) == expected
 
 
 def test_poly_string_rendering():

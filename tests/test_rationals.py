@@ -62,6 +62,14 @@ def test_same_square_class():
         same_square_class(0, 3)
 
 
+def test_nth_root_of_huge_integers():
+    # far beyond the float range: 10^400 overflows a float
+    assert nth_root_rational(10 ** 400, 2) == 10 ** 200
+    assert nth_root_rational(10 ** 400 + 1, 2) is None
+    assert nth_root_rational(F(1, 10 ** 400), 4) == F(1, 10 ** 100)
+    assert nth_root_rational(-(3 ** 999), 3) == -(3 ** 333)
+
+
 def test_nth_power_free_part():
     assert nth_power_free_part(32, 4) == 2
     assert nth_power_free_part(64, 6) == 1
