@@ -10,6 +10,7 @@ wall-clock time) and exits 0 exactly when no counterexample was found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -167,7 +168,9 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data-dir", default=None, help="override the bundled data directory")
     common.add_argument("--human", action="store_true", help="render a readable report instead of JSON")

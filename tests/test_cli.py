@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from squaredisc.cli import main
+from squaredisc.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -129,3 +129,29 @@ def test_human_rendering(capsys):
     assert code == 0
     assert "command: classify" in out
     assert "counterexamples: none" in out
+
+
+def test_calls_in_a_row_match_calls_one_at_a_time(capsys):
+    # main reuses one parser; no call may leave state behind for the next
+    calls = [
+        ["classify", "[-1, 0]", "--human"],
+        ["classify", "[0,-1,1,0,0]"],
+        ["family", "--N", "2", "--t", "3", "--human"],
+        ["verify", "--suite", "congruences"],
+        ["classify", "[-1, 0]"],
+        ["search", "--N", "10", "--which", "C", "--height", "30", "--human"],
+        ["family", "--N", "2", "--t", "3"],
+        ["search", "--N", "6", "--which", "X", "--height", "12"],
+    ]
+
+    def run(argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    in_a_row = [run(argv) for argv in calls]
+    one_at_a_time = []
+    for argv in calls:
+        build_parser.cache_clear()
+        one_at_a_time.append(run(argv))
+    assert in_a_row == one_at_a_time
+    assert build_parser() is build_parser()

@@ -1,10 +1,15 @@
 """Exact rational arithmetic: square tests, square classes, power-free parts."""
 
+import contextlib
+import math
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaredisc.rationals import (
     factorize,
@@ -108,7 +113,73 @@ def test_power_free_quotients_are_powers():
 
 
 def test_factorize_large_cofactors():
-    p, q = 10 ** 9 + 7, 10 ** 9 + 9  # both prime; forces the rho fallback
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9  # both prime, beyond the capped rho; ECM splits them
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(-(2 ** 10) * p) == {2: 10, p: 1}
     assert squarefree_part(p * p * 3) == 3
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    def overrun(signum, frame):
+        raise TimeoutError(f"factorize overran its {seconds} s bound")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _oracle(n):
+    return {int(p): e for p, e in sympy.factorint(n).items()}
+
+
+# primes of 5-17 digits, and primes just above the 2^14 sieve limit, which
+# trial division misses, alone or as squares and cubes
+_prime_powers = st.one_of(
+    st.integers(5, 17).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d)).map(
+        lambda a: (int(sympy.nextprime(a)), 1)
+    ),
+    st.tuples(st.integers(1 << 14, (1 << 14) + 3000).map(lambda a: int(sympy.nextprime(a))), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_prime_powers, min_size=2, max_size=4))
+def test_factorize_against_sympy(prime_powers):
+    n = math.prod(p ** e for p, e in prime_powers)
+    with _within(10):
+        got = factorize(n)
+    assert got == _oracle(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # two small factors that one ECM curve tends to find together, so
+        # that its gcd is the whole cofactor; the short rho splits them first
+        595140352219862923,  # 20483 * 27239 * 1066681279
+        4970204761644689321873,  # 17581 * 231317 * 1222146183649
+        # cofactors of 4-6-digit classify discriminants, with 13-17-digit
+        # primes; Pollard rho alone needs several seconds for each
+        7014386137717549673797105023637,
+        272351036453654607703205712202021,
+        17541574114289106165351216134135987987573,
+    ],
+)
+def test_factorize_regressions(n):
+    with _within(2):
+        got = factorize(n)
+    assert got == _oracle(n)
+
+
+def test_factorize_prime_powers():
+    # an ECM curve that finds p in p^3 often returns p^3 itself
+    p, q = 63394690271794507, 10 ** 9 + 7
+    with _within(5):
+        assert factorize(p ** 3) == {p: 3}
+        assert factorize(p ** 2 * q ** 6) == {p: 2, q: 6}
+        assert factorize((p * q) ** 12) == {p: 12, q: 12}
