@@ -57,7 +57,6 @@ from .polynomials import (
 )
 from .rationals import (
     is_square_rational,
-    nth_power_free_part,
     same_square_class,
     sqrt_rational,
     squarefree_part,

@@ -1,11 +1,15 @@
 """Genus bookkeeping and bounded-height rational point search on C_N, X_N.
 
 The search is exact end to end: candidate h values are fractions a/b in
-lowest terms with |a| <= H and 0 < b <= H, and squareness of F(h) (and
-G(h) for X_N) is decided by integer square roots.  Results come back in a
-canonical order (denominator, numerator, then sign of the y and z
-coordinates), so the outcome does not depend on how the candidate box is
-partitioned.
+lowest terms with |a| <= H and 0 < b <= H.  Squareness of F(a/b) (and
+G(a/b) for X_N) is decided over the integers, as in Stoll's ratpoints:
+with L the lcm of the coefficient denominators and e = 2*ceil(deg/2),
+F(a/b) = W / (L b^(e/2))^2 for the integer W = sum of L^2 f_i a^i b^(e-i),
+so F(a/b) is a square exactly when W is.  A negative W or a non-residue
+modulo 64, 63, 65 or 11 is rejected before any integer square root.
+Results come back in a canonical order (denominator, numerator, then sign
+of the y and z coordinates), so the outcome does not depend on how the
+candidate box is partitioned.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import Optional
 
 from .families import family, load_catalog
 from .polynomials import Poly, poly_gcd
-from .rationals import sqrt_rational
 
 
 @dataclass(frozen=True, order=True)
@@ -48,22 +51,74 @@ def genus_hyperelliptic(f: Poly) -> int:
     return (f.degree - 1) // 2
 
 
+def _square_flags(m: int) -> bytes:
+    """flags[r] == 1 exactly when r is a square modulo m."""
+    flags = bytearray(m)
+    for x in range(m):
+        flags[x * x % m] = 1
+    return bytes(flags)
+
+
+# A square integer is a square modulo each of these; a random integer
+# passes all four with probability about 1/120.
+_SQ64, _SQ63, _SQ65, _SQ11 = map(_square_flags, (64, 63, 65, 11))
+
+
+class _SquareRoot:
+    """h = a/b -> the nonnegative square root of f(a/b), or None.
+
+    Evaluates the integer W = sum of L^2 f_i a^i b^(e-i) with
+    f(a/b) = W / (L b^(e/2))^2; the row of L^2 f_i b^(e-i) is rebuilt only
+    when b changes, so a search grouped by b pays one Horner pass in a per
+    candidate.
+    """
+
+    __slots__ = ("_terms", "_lcm", "_half", "_b", "_row", "_den")
+
+    def __init__(self, f: Poly):
+        lcm = math.lcm(*(c.denominator for c in f.coeffs))
+        self._half = (f.degree + 1) // 2
+        # (e - i, L^2 f_i) from the leading term down, ready for Horner in a
+        self._terms = tuple(
+            (2 * self._half - i, c.numerator * (lcm * lcm // c.denominator))
+            for i, c in reversed(tuple(enumerate(f.coeffs)))
+        )
+        self._lcm = lcm
+        self._b = 0
+
+    def __call__(self, a: int, b: int) -> Optional[Fraction]:
+        if b != self._b:
+            self._b = b
+            self._row = tuple(c * b ** k for k, c in self._terms)
+            self._den = self._lcm * b ** self._half
+        w = 0
+        for c in self._row:
+            w = w * a + c
+        if w < 0 or not (_SQ64[w & 63] and _SQ63[w % 63] and _SQ65[w % 65] and _SQ11[w % 11]):
+            return None
+        root = math.isqrt(w)
+        if root * root != w:
+            return None
+        return Fraction(root, self._den)
+
+
 def _height_box(H: int):
-    """All h = a/b in lowest terms with |a| <= H, 0 < b <= H, grouped by b."""
+    """All (a, b) in lowest terms with |a| <= H, 0 < b <= H, grouped by b."""
     for b in range(1, H + 1):
         for a in range(-H, H + 1):
-            if math.gcd(abs(a), b) == 1:
-                yield Fraction(a, b)
+            if math.gcd(a, b) == 1:
+                yield a, b
 
 
 def search_C(N: int, H: int, data_dir: Optional[str] = None) -> list[AffinePointC]:
     """All affine points of C_N with height(h) <= H, canonically ordered."""
-    F = family(N, data_dir).F
+    sqrt_F = _SquareRoot(family(N, data_dir).F)
     points = []
-    for h in _height_box(H):
-        y = sqrt_rational(F(h))
+    for a, b in _height_box(H):
+        y = sqrt_F(a, b)
         if y is None:
             continue
+        h = Fraction(a, b)
         if y == 0:
             points.append(AffinePointC(h, y))
         else:
@@ -76,14 +131,17 @@ def search_C(N: int, H: int, data_dir: Optional[str] = None) -> list[AffinePoint
 def search_X(N: int, H: int, data_dir: Optional[str] = None) -> list[AffinePointX]:
     """All affine points of X_N with height(h) <= H, canonically ordered."""
     fam = family(N, data_dir)
+    sqrt_F = _SquareRoot(fam.F)
+    sqrt_G = _SquareRoot(fam.G)
     points = []
-    for h in _height_box(H):
-        y = sqrt_rational(fam.F(h))
+    for a, b in _height_box(H):
+        y = sqrt_F(a, b)
         if y is None:
             continue
-        z = sqrt_rational(fam.G(h))
+        z = sqrt_G(a, b)
         if z is None:
             continue
+        h = Fraction(a, b)
         ys = (y,) if y == 0 else (-y, y)
         zs = (z,) if z == 0 else (-z, z)
         for yy in ys:

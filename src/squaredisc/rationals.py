@@ -1,11 +1,11 @@
-"""Exact rational arithmetic helpers: square tests and power-free parts.
+"""Exact rational arithmetic helpers: square tests and square classes.
 
 Rationals are plain ``fractions.Fraction`` values (always in lowest terms,
 positive denominator), so every operation here is pure and exact.  Square
 testing never factors anything: it only needs integer square roots.  The
-square-class and n-th-power-free computations do factor: the sieved primes
-below 2^14 are divided out, perfect powers are reduced to their roots, and
-the remaining cofactor is split by a short Pollard rho, then by ECM
+squarefree part of a rational does factor: the sieved primes below 2^14
+are divided out, perfect powers are reduced to their roots, and the
+remaining cofactor is split by a short Pollard rho, then by ECM
 (Lenstra's elliptic-curve method on Montgomery curves).  Factoring is
 deterministic: fixed curves and fixed step counts, no randomness and no
 wall-clock budget.
@@ -236,32 +236,55 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
         return g
     # stage 2: a prime p = m D +- j in (b1, b2] with p Q = O mod a prime
     # factor of n shows as x(m D Q) = x(j Q) there; baby steps j Q and
-    # giant steps m D Q are made affine so that each p costs one product
+    # giant steps m D Q are made affine, one inversion per batch, so that
+    # each p costs one product
     m0, plan = _stage2_plan(b1)
     step2 = _xdbl(qx, qz, a24, n)
-    baby: list[int] = []
+    points = []
     prev = cur = (qx, qz)  # (j - 2) Q and j Q for j = 1; -Q has the x of Q
     for j in range(1, _GIANT_STEP // 2, 2):
         if math.gcd(j, _GIANT_STEP) == 1:
-            g = math.gcd(cur[1], n)
-            if g != 1:
-                return g
-            baby.append(cur[0] * pow(cur[1], -1, n) % n)
+            points.append(cur)
         prev, cur = cur, _xadd(*cur, *step2, *prev, n)
+    g, baby = _affine_x(points, n)
+    if g != 1:
+        return g
     giant = _ladder(_GIANT_STEP, qx, qz, a24, n)
     r = _ladder(m0, *giant, a24, n)
     r_next = _ladder(m0 + 1, *giant, a24, n)
+    points = []
+    for _ in plan:
+        points.append(r)
+        r, r_next = r_next, _xadd(*r_next, *giant, *r, n)
+    g, giant_x = _affine_x(points, n)
+    if g != 1:
+        return g
     acc = 1
-    for indices in plan:
-        rx, rz = r
-        g = math.gcd(rz, n)
-        if g != 1:
-            return g
-        rx = rx * pow(rz, -1, n) % n
+    for rx, indices in zip(giant_x, plan):
         for i in indices:
             acc = acc * (rx - baby[i]) % n
-        r, r_next = r_next, _xadd(*r_next, *giant, *r, n)
     return math.gcd(acc, n)
+
+
+def _affine_x(points: list[tuple[int, int]], n: int) -> tuple[int, list[int]]:
+    """(1, [x/z mod n for each (x : z)]) with one inversion (Montgomery's
+    trick), or (g, []) with g the first gcd(z, n) != 1 in order."""
+    prefix = []
+    acc = 1
+    for _, z in points:
+        acc = acc * z % n
+        prefix.append(acc)
+    if math.gcd(acc, n) != 1:
+        # a prime factor of n dividing the product divides one of the z
+        return next(g for g in (math.gcd(z, n) for _, z in points) if g != 1), []
+    inv = pow(acc, -1, n)  # 1 / (z_0 ... z_i), for i counting down
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, 0, -1):
+        x, z = points[i]
+        xs[i] = x * inv * prefix[i - 1] % n
+        inv = inv * z % n
+    xs[0] = points[0][0] * inv % n
+    return 1, xs
 
 
 def _ecm(n: int) -> int:
@@ -383,23 +406,3 @@ def same_square_class(a: RationalLike, b: RationalLike) -> bool:
         raise ValueError("square classes are defined for nonzero rationals")
     return sqrt_rational(a / b) is not None
 
-
-def nth_power_free_part(r: RationalLike, n: int) -> Fraction:
-    """Representative of r modulo n-th powers, for n in {2, 4, 6}.
-
-    The result has integer numerator and denominator free of n-th-power
-    prime factors, and r divided by the result is an exact n-th power.
-    """
-    if n not in (2, 4, 6):
-        raise ValueError("power-free reduction is supported for n in {2, 4, 6}")
-    r = as_fraction(r)
-    if r == 0:
-        raise ValueError("not a unit of Q")
-    num = 1
-    den = 1
-    for p, e in factorize(r.numerator).items():
-        num *= p ** (e % n)
-    for p, e in factorize(r.denominator).items():
-        den *= p ** (e % n)
-    sign = -1 if r < 0 else 1
-    return Fraction(sign * num, den)

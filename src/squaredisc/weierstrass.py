@@ -7,6 +7,7 @@ operation that needs an elliptic curve raises SingularModelError.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -47,6 +48,12 @@ class GeneralModel:
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
 
     def invariants(self) -> Invariants:
+        return self._invariants
+
+    # cached in the instance dict, which the dataclass __eq__, __hash__ and
+    # __repr__ never read
+    @functools.cached_property
+    def _invariants(self) -> Invariants:
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3

@@ -1,11 +1,16 @@
 """Genus computation and bounded-height point search on C_N and X_N."""
 
+import math
+from datetime import timedelta
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaredisc.curve_search import (
+    _SquareRoot,
     cusp_check,
     genus_hyperelliptic,
     search_C,
@@ -15,6 +20,7 @@ from squaredisc.curve_search import (
 )
 from squaredisc.families import family, solve_param_C
 from squaredisc.polynomials import Poly
+from squaredisc.rationals import sqrt_rational
 
 h = Poly.variable()
 
@@ -86,6 +92,64 @@ def test_table_reproduction_moderate_height():
         fam = family(n)
         got = {p.as_tuple() for p in search_C(n, 30)}
         assert got == set(fam.known_points_C), n
+
+
+def _box(H):
+    """The candidates a/b of height <= H, in canonical (b, a) order."""
+    return [(a, b) for b in range(1, H + 1) for a in range(-H, H + 1) if math.gcd(a, b) == 1]
+
+
+def _reference_roots(f, H):
+    """h -> sqrt(f(h)) for the square values, evaluated over Fractions."""
+    roots = {}
+    for a, b in _box(H):
+        y = sqrt_rational(f(F(a, b)))
+        if y is not None:
+            roots[F(a, b)] = y
+    return roots
+
+
+def _signs(y):
+    return (y,) if y == 0 else (-y, y)
+
+
+def test_search_matches_fraction_reference_at_every_table_level():
+    for n in table_levels_C():
+        ys = _reference_roots(family(n).F, 30)
+        expected = [(h, y) for h, root in ys.items() for y in _signs(root)]
+        assert [p.as_tuple() for p in search_C(n, 30)] == expected, n
+    for n in table_levels_X():
+        fam = family(n)
+        ys = _reference_roots(fam.F, 30)
+        zs = _reference_roots(fam.G, 30)
+        expected = [
+            (h, y, z) for h, root in ys.items() if h in zs for y in _signs(root) for z in _signs(zs[h])
+        ]
+        assert [p.as_tuple() for p in search_X(n, 30)] == expected, n
+
+
+_coeffs = st.builds(F, st.integers(-(10 ** 6), 10 ** 6), st.integers(1, 60))
+_candidates = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2), derandomize=True)
+@given(
+    scale=_coeffs.filter(bool),
+    square=st.lists(_coeffs, max_size=4),
+    roots=st.lists(_candidates, max_size=3),
+    rest=st.lists(_coeffs, min_size=1, max_size=5),
+)
+def test_integer_square_test_matches_fraction_reference(scale, square, roots, rest):
+    # f = scale * s(h)^2 * prod (h - r) * rest(h): odd and even degree, any
+    # sign of the leading coefficient, non-integral coefficients, zeros at
+    # candidates (y = 0) and square values away from them
+    f = Poly.const(scale) * Poly(square or [1]) ** 2 * Poly(rest)
+    for r in roots:
+        f = f * Poly([-r, 1])
+    sqrt_f = _SquareRoot(f)
+    box = _box(6)
+    for a, b in box + box[::-1]:
+        assert sqrt_f(a, b) == sqrt_rational(f(F(a, b))), (f, a, b)
 
 
 def test_cusp_check():

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: square tests, square classes, power-free parts."""
+"""Exact rational arithmetic: square tests, square classes, factorization."""
 
 import contextlib
 import math
@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaredisc.rationals import (
+    _affine_x,
     factorize,
     is_square_rational,
-    nth_power_free_part,
     nth_root_rational,
     same_square_class,
     sqrt_rational,
@@ -75,17 +75,6 @@ def test_nth_root_of_huge_integers():
     assert nth_root_rational(-(3 ** 999), 3) == -(3 ** 333)
 
 
-def test_nth_power_free_part():
-    assert nth_power_free_part(32, 4) == 2
-    assert nth_power_free_part(64, 6) == 1
-    assert nth_power_free_part(-16, 4) == -1
-    assert nth_power_free_part(F(1, 8), 2) == F(1, 2)
-    with pytest.raises(ValueError):
-        nth_power_free_part(0, 2)
-    with pytest.raises(ValueError):
-        nth_power_free_part(5, 3)
-
-
 def _random_nonzero(rng, lim=1000):
     num = 0
     while num == 0:
@@ -103,13 +92,19 @@ def test_square_class_properties():
         assert squarefree_part(squarefree_part(r)) == squarefree_part(r)
 
 
-def test_power_free_quotients_are_powers():
-    rng = random.Random(21)
-    for _ in range(200):
-        r = _random_nonzero(rng)
-        for n in (2, 4, 6):
-            quotient = r / nth_power_free_part(r, n)
-            assert nth_root_rational(quotient, n) is not None, (r, n)
+def test_affine_x_inverts_a_batch_and_reports_the_first_shared_factor():
+    p, q = 1009, 10007
+    n = p * q
+    rng = random.Random(16)
+    points = []
+    while len(points) < 40:
+        z = rng.randrange(1, n)
+        if math.gcd(z, n) == 1:
+            points.append((rng.randrange(n), z))
+    assert _affine_x(points, n) == (1, [x * pow(z, -1, n) % n for x, z in points])
+    # the per-point loop stops at the first z sharing a factor with n
+    assert _affine_x(points[:5] + [(1, 7 * q), (2, 3 * p), (3, 0)], n) == (q, [])
+    assert _affine_x([(1, 0)] + points, n) == (n, [])
 
 
 def test_factorize_large_cofactors():

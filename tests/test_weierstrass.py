@@ -35,6 +35,20 @@ def _random_model(rng):
     return GeneralModel(*[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)])
 
 
+def test_invariants_are_cached_without_changing_model_identity():
+    rng = random.Random(16)
+    for _ in range(50):
+        coeffs = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(5)]
+        cached = GeneralModel(*coeffs)
+        first = cached.invariants()
+        assert cached.invariants() is first
+        uncached = GeneralModel(*coeffs)
+        assert "_invariants" not in vars(uncached)
+        assert cached == uncached and hash(cached) == hash(uncached)
+        assert repr(cached) == repr(uncached) and len({cached, uncached}) == 1
+        assert first == uncached.invariants()
+
+
 def test_c4_c6_disc_identity():
     rng = random.Random(3)
     for _ in range(1000):
