@@ -27,7 +27,6 @@ from .curve_search import (
 from .families import (
     ALL_LEVELS,
     IsogenyFamily,
-    cstar_membership,
     family,
     finite_cases,
     finite_cases_scan,

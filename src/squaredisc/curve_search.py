@@ -3,8 +3,8 @@
 The search is exact end to end: candidate h values are fractions a/b in
 lowest terms with |a| <= H and 0 < b <= H.  Squareness of F(a/b) (and
 G(a/b) for X_N) is decided over the integers, as in Stoll's ratpoints:
-with L the lcm of the coefficient denominators and e = 2*ceil(deg/2),
-F(a/b) = W / (L b^(e/2))^2 for the integer W = sum of L^2 f_i a^i b^(e-i),
+with F = (n/m) * P for the primitive integer P and e = 2*ceil(deg/2),
+F(a/b) = W / (m b^(e/2))^2 for the integer W = n m sum of P_i a^i b^(e-i),
 so F(a/b) is a square exactly when W is.  A negative W or a non-residue
 modulo 64, 63, 65 or 11 is rejected before any integer square root.
 Results come back in a canonical order (denominator, numerator, then sign
@@ -67,30 +67,29 @@ _SQ64, _SQ63, _SQ65, _SQ11 = map(_square_flags, (64, 63, 65, 11))
 class _SquareRoot:
     """h = a/b -> the nonnegative square root of f(a/b), or None.
 
-    Evaluates the integer W = sum of L^2 f_i a^i b^(e-i) with
-    f(a/b) = W / (L b^(e/2))^2; the row of L^2 f_i b^(e-i) is rebuilt only
-    when b changes, so a search grouped by b pays one Horner pass in a per
-    candidate.
+    With f = (n/m) * P for the primitive integer P, evaluates the integer
+    W = n m sum P_i a^i b^(e-i), so that f(a/b) = W / (m b^(e/2))^2; the row
+    of n m P_i b^(e-i) is rebuilt only when b changes, so a search grouped
+    by b pays one Horner pass in a per candidate.
     """
 
-    __slots__ = ("_terms", "_lcm", "_half", "_b", "_row", "_den")
+    __slots__ = ("_terms", "_m", "_half", "_b", "_row", "_den")
 
     def __init__(self, f: Poly):
-        lcm = math.lcm(*(c.denominator for c in f.coeffs))
+        n, m = f.content.numerator, f.content.denominator
         self._half = (f.degree + 1) // 2
-        # (e - i, L^2 f_i) from the leading term down, ready for Horner in a
+        # (e - i, n m P_i) from the leading term down, ready for Horner in a
         self._terms = tuple(
-            (2 * self._half - i, c.numerator * (lcm * lcm // c.denominator))
-            for i, c in reversed(tuple(enumerate(f.coeffs)))
+            (2 * self._half - i, n * m * c) for i, c in reversed(tuple(enumerate(f.prim)))
         )
-        self._lcm = lcm
+        self._m = m
         self._b = 0
 
     def __call__(self, a: int, b: int) -> Optional[Fraction]:
         if b != self._b:
             self._b = b
             self._row = tuple(c * b ** k for k, c in self._terms)
-            self._den = self._lcm * b ** self._half
+            self._den = self._m * b ** self._half
         w = 0
         for c in self._row:
             w = w * a + c

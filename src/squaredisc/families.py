@@ -115,15 +115,21 @@ def _check_coeffs(name: str, poly: Poly, text: Optional[str]) -> None:
 
 
 def _build_family(n: int, fields: dict[str, str]) -> IsogenyFamily:
+    def parsed(parse, key: str, var: str):
+        try:
+            return parse(fields[key], var)
+        except ValueError as exc:
+            raise CatalogError(f"[{n}] {key}: {exc}") from exc
+
     def rf(key: str, var: str) -> Optional[RationalFunction]:
         if key not in fields:
             return None
-        return parse_rational_function(fields[key], var)
+        return parsed(parse_rational_function, key, var)
 
     j_map = rf("jmap", "h")
     jprime_map = rf("jpmap", "h")
-    F = parse_poly(fields["F"], "h")
-    G = parse_poly(fields["G"], "h")
+    F = parsed(parse_poly, "F", "h")
+    G = parsed(parse_poly, "G", "h")
     for key, value in (("jmap", j_map), ("jpmap", jprime_map)):
         _check_coeffs(f"[{n}] {key}.num", value.num, fields.get(f"{key}.num.coeffs"))
         _check_coeffs(f"[{n}] {key}.den", value.den, fields.get(f"{key}.den.coeffs"))
@@ -347,16 +353,6 @@ def finite_cases_scan(data_dir: Optional[str] = None) -> list[dict]:
         row["ok"] = all(checks) if checks else True
         out.append(row)
     return out
-
-
-def cstar_membership(N: int, h0: RationalLike, data_dir: Optional[str] = None) -> bool:
-    """True iff h0 supports a square-discriminant curve in the N-family:
-    F_N(h0) must be a rational square and h0 must not be a cusp of j_N."""
-    fam = family(N, data_dir)
-    h0 = as_fraction(h0)
-    if fam.j_map.den(h0) == 0:
-        return False
-    return is_square_rational(fam.F(h0))
 
 
 def solve_param_C(

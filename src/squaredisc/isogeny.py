@@ -149,23 +149,32 @@ class ModularPolynomial:
     coeffs: tuple[tuple[int, int, int], ...]  # (i, k, c) with i >= k
 
     def __call__(self, x: RationalLike, y: RationalLike) -> Fraction:
+        """Phi_N(p/q, r/s) = sum c p^i q^(D-i) r^k s^(D-k) / (q s)^D, D = N + 1,
+        summed over the integers."""
         x = as_fraction(x)
         y = as_fraction(y)
         deg = self.N + 1
-        xp = [Fraction(1)]
-        yp = [Fraction(1)]
-        for _ in range(deg):
-            xp.append(xp[-1] * x)
-            yp.append(yp[-1] * y)
-        total = Fraction(0)
+        xs = _homogeneous_powers(x, deg)
+        ys = _homogeneous_powers(y, deg)
+        total = 0
         for i, k, c in self.coeffs:
-            total += c * xp[i] * yp[k]
+            total += c * xs[i] * ys[k]
             if i != k:
-                total += c * xp[k] * yp[i]
-        return total
+                total += c * xs[k] * ys[i]
+        return Fraction(total, (x.denominator * y.denominator) ** deg)
 
     def degree_in_x(self) -> int:
         return max(i for i, _, _ in self.coeffs)
+
+
+def _homogeneous_powers(x: Fraction, deg: int) -> list[int]:
+    """[p^i * q^(deg-i) for i = 0..deg], for x = p/q."""
+    p, q = x.numerator, x.denominator
+    ps, qs = [1], [1]
+    for _ in range(deg):
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
+    return [ps[i] * qs[deg - i] for i in range(deg + 1)]
 
 
 def _load_modular_file(path: str) -> dict[int, ModularPolynomial]:

@@ -1,25 +1,36 @@
 """Dense univariate polynomials and rational functions over Q.
 
-Everything is exact: coefficients are ``Fraction`` values, rational
+Everything is exact, and the arithmetic runs on plain Python ints.  A
+polynomial is stored as content * P: the content is a ``Fraction`` and P is
+a primitive integer tuple (coefficient gcd 1, positive leading coefficient);
+the zero polynomial is (0, ()).  A product multiplies the contents and
+convolves the tuples, with no gcd, because a product of primitive
+polynomials is primitive (Gauss's lemma); a sum meets over one common
+denominator and takes one gcd.  Division is pseudo-division, which is exact
+integer division whenever the divisor divides, and gcds come from primitive
+pseudo-remainder sequences.  Evaluation at x = a/b is one homogeneous Horner
+pass sum P_i a^i b^(d-i), so each value costs one ``Fraction``.  Rational
 functions are kept reduced with monic denominator, and the mod-squares
-reduction used by the congruence checks is computed through Yun's
-squarefree decomposition.  Degrees in this project stay around 30, so the
-dense representation and primitive-PRS gcd are entirely adequate.  Rational
-roots come from one integer-only finder: the monic transform turns them into
-integer roots, which a Sturm chain over Z and bisection on integer endpoints
-locate with plain-int Horner evaluation.
+reduction used by the congruence checks is computed through Yun's squarefree
+decomposition.  Degrees in this project stay around 30, so the dense
+representation is entirely adequate.  Rational roots come from one
+integer-only finder: the monic transform turns them into integer roots,
+which a Sturm chain over Z and bisection on integer endpoints locate with
+plain-int Horner evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 from .rationals import as_fraction, sqrt_rational
 
 Scalar = Union[Fraction, int]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class PoleError(ArithmeticError):
@@ -28,16 +39,188 @@ class PoleError(ArithmeticError):
     label = "cusp candidate"
 
 
-class Poly:
-    """Immutable dense polynomial; coeffs[i] is the coefficient of x^i."""
+# -- integer coefficient sequences (ascending, trailing zeros stripped) ----
 
-    __slots__ = ("coeffs",)
+
+def _strip(v: list[int]) -> list[int]:
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+def _int_primitive(v: Sequence[int]) -> list[int]:
+    """v divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*v)
+    if g == 0:
+        return []
+    if v[-1] < 0:
+        g = -g
+    return [c // g for c in v]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+    return out
+
+
+def _int_derivative(v: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(v)][1:]
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s * a = q * b + r and deg r < deg b.
+
+    s > 0 is a power of |lc(b)|, picked up only at steps whose leading term
+    lc(b) does not divide; so an exact division is exact integer division
+    with s = 1, and r has the sign of a mod b, as Sturm chains need.
+    """
+    lc, db = b[-1], len(b) - 1
+    m = abs(lc)
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + db]
+        if not top:
+            continue
+        t, rest = divmod(top, lc)
+        if rest:
+            r = [c * m for c in r]
+            q = [c * m for c in q]
+            s *= m
+            t = top * m // lc
+        q[k] = t
+        for i in range(db):
+            r[k + i] -= t * b[i]
+    del r[db:]  # each step cancelled its top entry
+    return _strip(q), _strip(r), s
+
+
+def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return _pseudo_divmod(a, b)[1]
+
+
+def _horner(v: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(v):
+        acc = acc * x + c
+    return acc
+
+
+def _hom_eval(v: Sequence[int], a: int, b: int) -> int:
+    """sum v_i a^i b^(d-i), d = len(v) - 1: b^d * v(a/b), by Horner."""
+    if b == 1 or not v:
+        return _horner(v, a)
+    acc = v[-1]
+    bp = 1
+    for c in reversed(v[:-1]):
+        bp *= b
+        acc = acc * a + c * bp
+    return acc
+
+
+def _int_quo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
+    """a / b when b divides a with an integral quotient, else None.
+
+    A primitive b that divides a over Q always gives an integral quotient.
+    """
+    lc, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t, rest = divmod(r[k + db], lc)
+        if rest:
+            return None
+        q[k] = t
+        if t:
+            for i in range(db):
+                r[k + i] -= t * b[i]
+    return None if any(r[:db]) else q
+
+
+def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    q = _int_quo(a, b)
+    if q is None:
+        raise ValueError("division is not exact")
+    return q
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive gcd of two nonzero primitive sequences.
+
+    First the heuristic gcd of Char, Geddes and Gonnet: at an integer
+    xi >= 2 min(|a|, |b|) + 2 (max norms) take h = gcd(a(xi), b(xi)), read
+    the balanced xi-adic digits of h as G = c * pp(G), and keep pp(G) if it
+    divides a and b.  It is then the gcd D = pp(G) * K: D(xi) divides h,
+    so K(xi) divides c, and |c| <= xi / 2; but the roots of K, common to a
+    and b, have absolute value below 1 + min(|a|, |b|) <= xi / 2 (Cauchy),
+    so a nonconstant K has |K(xi)| > xi / 2.  When three points fail, the
+    primitive pseudo-remainder sequence decides.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(3):
+        h = math.gcd(_horner(a, xi), _horner(b, xi))
+        g = []
+        while h:
+            digit = h % xi
+            if 2 * digit > xi:
+                digit -= xi
+            g.append(digit)
+            h = (h - digit) // xi
+        g = _int_primitive(g)
+        if _int_quo(a, g) is not None and _int_quo(b, g) is not None:
+            return tuple(g)
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    a, b = list(a), list(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _int_primitive(_int_pseudo_rem(a, b))
+    return tuple(a)
+
+
+# -- polynomials -------------------------------------------------------------
+
+
+def _make(content: Fraction, prim: tuple[int, ...]) -> "Poly":
+    """A Poly from its normal form: prim primitive with lc > 0, or (0, ())."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "content", content)
+    object.__setattr__(p, "prim", prim)
+    return p
+
+
+def _from_ints(v: list[int], num: int = 1, den: int = 1) -> "Poly":
+    """The polynomial (num / den) * sum v_i x^i."""
+    _strip(v)
+    if not v or not num:
+        return _make(_ZERO, ())
+    g = math.gcd(*v)
+    if v[-1] < 0:
+        g = -g
+    prim = tuple(v) if g == 1 else tuple(c // g for c in v)
+    return _make(Fraction(num * g, den), prim)
+
+
+class Poly:
+    """Immutable dense polynomial content * P over Q.
+
+    prim[i] is the coefficient of x^i in the primitive integer part P;
+    coeffs[i] = content * prim[i] is derived on demand.
+    """
+
+    __slots__ = ("content", "prim", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [as_fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        fracs = [c if isinstance(c, Fraction) else as_fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        q = _from_ints([c.numerator * (den // c.denominator) for c in fracs], 1, den)
+        object.__setattr__(self, "content", q.content)
+        object.__setattr__(self, "prim", q.prim)
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
@@ -46,39 +229,50 @@ class Poly:
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        return Poly([c])
+        c = c if isinstance(c, Fraction) else as_fraction(c)
+        return _make(c, (1,)) if c else _make(_ZERO, ())
 
     @staticmethod
     def variable() -> "Poly":
-        return Poly([0, 1])
+        return _make(_ONE, (0, 1))
 
     # -- structure -------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # zero polynomial has degree -1
+        return len(self.prim) - 1  # zero polynomial has degree -1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coeffs
+        except AttributeError:
+            n, d = self.content.numerator, self.content.denominator
+            cs = tuple(Fraction(n * c, d) for c in self.prim)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        if not self.prim:
+            return _ZERO
+        return Fraction(self.content.numerator * self.prim[-1], self.content.denominator)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.prim == other.prim and self.content == other.content
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -86,16 +280,26 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Poly(a)
+        if not other.prim:
+            return self
+        if not self.prim:
+            return other
+        c1, c2 = self.content, other.content
+        den = math.lcm(c1.denominator, c2.denominator)
+        m1 = c1.numerator * (den // c1.denominator)
+        m2 = c2.numerator * (den // c2.denominator)
+        a, b = self.prim, other.prim
+        if len(a) < len(b):
+            a, b, m1, m2 = b, a, m2, m1
+        out = [m1 * c for c in a]
+        for i, c in enumerate(b):
+            out[i] += m2 * c
+        return _from_ints(out, 1, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _make(-self.content, self.prim)
 
     def __sub__(self, other) -> "Poly":
         other = _coerce_poly(other)
@@ -110,16 +314,16 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for k, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + k] += a * b
-        return Poly(out)
+        a, b = self.prim, other.prim
+        if not a or not b:
+            return _make(_ZERO, ())
+        if len(b) == 1:
+            prim = a
+        elif len(a) == 1:
+            prim = b
+        else:
+            prim = tuple(_convolve(a, b))
+        return _make(self.content * other.content, prim)
 
     __rmul__ = __mul__
 
@@ -136,24 +340,15 @@ class Poly:
         return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        if not other.prim:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        inv_lc = 1 / other.lc
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] * inv_lc
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            rem.pop()
-        return Poly(q), Poly(rem)
+        q, r, s = _pseudo_divmod(self.prim, other.prim)
+        # self = c1 * P1 with s * P1 = q * P2 + r, and other = c2 * P2
+        c1, c2 = self.content, other.content
+        return (
+            _from_ints(q, c1.numerator * c2.denominator, c1.denominator * c2.numerator * s),
+            _from_ints(r, c1.numerator, c1.denominator * s),
+        )
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -170,51 +365,38 @@ class Poly:
     # -- calculus / evaluation --------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        c = self.content
+        return _from_ints(_int_derivative(self.prim), c.numerator, c.denominator)
 
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction and RationalFunction inputs."""
-        if not self.coeffs:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: Scalar) -> Fraction:
+        """Value at a rational x = a/b, from one homogeneous Horner pass."""
+        x = x if isinstance(x, Fraction) else as_fraction(x)
+        c = self.content
+        v = _hom_eval(self.prim, x.numerator, x.denominator)
+        return Fraction(c.numerator * v, c.denominator * x.denominator ** max(self.degree, 0))
 
     def compose_fraction(self, num: "Poly", den: "Poly") -> "Poly":
         """Numerator of self(num/den) cleared by den^degree."""
-        if self.is_zero():
-            return Poly()
-        d = self.degree
-        acc = Poly()
-        num_pow = Poly.const(1)
-        den_pows = [Poly.const(1)]
-        for _ in range(d):
-            den_pows.append(den_pows[-1] * den)
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                acc = acc + Poly.const(c) * num_pow * den_pows[d - i]
-            num_pow = num_pow * num
-        return acc
+        if not self.prim:
+            return _make(_ZERO, ())
+        # homogeneous Horner: sum P_i num^i den^(d-i), then the content
+        acc = Poly.const(self.prim[-1])
+        den_pow = Poly.const(1)
+        for c in reversed(self.prim[:-1]):
+            den_pow = den_pow * den
+            acc = acc * num + den_pow * c
+        return acc * self.content
 
     # -- normal forms ------------------------------------------------------
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.prim:
             raise ValueError("the zero polynomial has no monic form")
-        inv = 1 / self.lc
-        return Poly([c * inv for c in self.coeffs])
+        return _make(Fraction(1, self.prim[-1]), self.prim)
 
     def int_primitive(self) -> tuple[Fraction, tuple[int, ...]]:
         """Write self = content * P with P primitive over Z, lc(P) > 0."""
-        if self.is_zero():
-            return Fraction(0), ()
-        den_lcm = reduce(math.lcm, (c.denominator for c in self.coeffs), 1)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = reduce(math.gcd, (abs(v) for v in ints), 0)
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, den_lcm), tuple(v // g for v in ints)
+        return self.content, self.prim
 
     def to_string(self, var: str = "h") -> str:
         if self.is_zero():
@@ -251,34 +433,6 @@ def _coerce_poly(value):
 # -- gcd and squarefree structure -----------------------------------------
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of |lc(b)|^k * a on division by b, for integer coefficient
-    sequences (ascending).  The multiplier is positive, so the result has
-    the sign of a mod b, as Sturm chains need."""
-    a = a[:]
-    db = len(b) - 1
-    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    while len(a) > db:
-        top = a.pop() * sign
-        if top:
-            k = len(a) - db
-            a = [c * scale for c in a]
-            for i, c in enumerate(b[:-1]):
-                a[k + i] -= top * c
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _int_primitive(v: list[int]) -> list[int]:
-    g = reduce(math.gcd, (abs(c) for c in v), 0)
-    if g == 0:
-        return []
-    if v[-1] < 0:
-        g = -g
-    return [c // g for c in v]
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd via the primitive pseudo-remainder sequence."""
     if p.is_zero() and q.is_zero():
@@ -287,15 +441,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    _, a = p.int_primitive()
-    _, b = q.int_primitive()
-    a, b = list(a), list(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_pseudo_rem(a, b)
-        a, b = b, _int_primitive(r)
-    return Poly(a).monic()
+    g = _int_gcd(p.prim, q.prim)
+    return _make(Fraction(1, g[-1]), g)
 
 
 def squarefree_part_poly(p: Poly) -> Poly:
@@ -304,62 +451,90 @@ def squarefree_part_poly(p: Poly) -> Poly:
         raise ValueError("the zero polynomial has no squarefree part")
     if p.degree == 0:
         return Poly.const(1)
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).monic()
+    P = _int_squarefree_part(p.prim)
+    return _make(Fraction(1, P[-1]), tuple(P))
+
+
+def _int_squarefree_part(v: Sequence[int]) -> list[int]:
+    """Primitive squarefree part of a primitive sequence of degree >= 1."""
+    g = _int_gcd(v, _int_primitive(_int_derivative(v)))
+    return list(v) if len(g) == 1 else _exact_quo(v, g)
 
 
 def squarefree_decomposition(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """Yun's algorithm: p = c * prod a_i^i with the a_i monic, squarefree,
-    and pairwise coprime.  Factors with a_i = 1 are omitted."""
+    and pairwise coprime.  Factors with a_i = 1 are omitted.
+
+    Runs on the primitive integer part: each b below is primitive and each
+    d integral, and they carry one common scalar, which no gcd sees.
+    """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    c = p.lc
-    p = p.monic()
-    if p.degree == 0:
+    c, P = p.lc, p.prim
+    if len(P) == 1:
         return c, []
+    dP = _int_derivative(P)
+    g = _int_gcd(P, _int_primitive(dP))
+    if len(g) == 1:
+        return c, [(p.monic(), 1)]
+    b = _exact_quo(P, g)
+    d = _sub_ints(_exact_quo(dP, g), _int_derivative(b))
     out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return c, [(p, 1)]
-    b = p.exact_div(g)
-    d = p.derivative().exact_div(g) - b.derivative()
     i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d) if not d.is_zero() else b.monic()
-        if a.degree > 0:
-            out.append((a.monic(), i))
-        b = b.exact_div(a)
-        d = d.exact_div(a) - b.derivative()
+    while len(b) > 1:
+        a = _int_gcd(b, _int_primitive(d)) if d else tuple(b)
+        if len(a) > 1:
+            out.append((_make(Fraction(1, a[-1]), a), i))
+        b = _exact_quo(b, a)
+        d = _sub_ints(_exact_quo(d, a) if d else [], _int_derivative(b))
         i += 1
     return c, out
 
 
+def _sub_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _strip(out)
+
+
+def _int_sqrt_poly(v: Sequence[int]) -> Optional[list[int]]:
+    """The w with lc(w) > 0 and w * w == v over Z, or None."""
+    if (len(v) - 1) % 2:
+        return None
+    d = (len(v) - 1) // 2
+    lead = math.isqrt(v[-1]) if v[-1] > 0 else 0
+    if lead * lead != v[-1] or not lead:
+        return None
+    w = [0] * (d + 1)
+    w[d] = lead
+    for k in range(1, d + 1):
+        # match the coefficient of x^(2d - k)
+        s = sum(w[a] * w[2 * d - k - a] for a in range(d - k + 1, d))
+        t, rest = divmod(v[2 * d - k] - s, 2 * lead)
+        if rest:
+            return None
+        w[d - k] = t
+    return w if _convolve(w, w) == list(v) else None
+
+
 def is_perfect_square_poly(p: Poly) -> Optional[Poly]:
-    """Return q with q*q == p (leading coefficient > 0), else None."""
+    """Return q with q*q == p (leading coefficient > 0), else None.
+
+    p = c * P is a square exactly when c is a rational square and the
+    primitive P is the square of a primitive integer polynomial.
+    """
     if p.is_zero():
         return Poly()
     if p.degree % 2 != 0:
         return None
-    lead = sqrt_rational(p.lc)
+    lead = sqrt_rational(p.content)
     if lead is None:
         return None
-    d = p.degree // 2
-    q = [Fraction(0)] * (d + 1)
-    q[d] = lead
-    inv2lead = 1 / (2 * lead)
-    for k in range(1, d + 1):
-        # match the coefficient of x^(2d - k)
-        s = Fraction(0)
-        for a in range(d - k + 1, d):
-            b = 2 * d - k - a
-            if d - k < b <= d:
-                s += q[a] * q[b]
-        target = p.coeffs[2 * d - k] if 2 * d - k < len(p.coeffs) else Fraction(0)
-        q[d - k] = (target - s) * inv2lead
-    cand = Poly(q)
-    if cand * cand == p:
-        return cand
-    return None
+    root = _int_sqrt_poly(p.prim)
+    if root is None:
+        return None
+    return _make(lead, tuple(root))
 
 
 # -- rational functions ----------------------------------------------------
@@ -376,15 +551,15 @@ class RationalFunction:
         if num.is_zero():
             num, den = Poly(), Poly.const(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            if num.degree > 0 and den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
             lc = den.lc
             if lc != 1:
-                inv = 1 / lc
-                num = num * inv
-                den = den * inv
+                num = _make(num.content / lc, num.prim)
+                den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -461,11 +636,25 @@ class RationalFunction:
         return RationalFunction(self.num ** n, self.den ** n)
 
     def __call__(self, x: Scalar) -> Fraction:
+        """Value at a rational x = a/b: numerator and denominator are
+        evaluated homogeneously over Z, and one Fraction is built."""
         x = as_fraction(x) if not isinstance(x, Fraction) else x
-        dv = self.den(x)
+        a, b = x.numerator, x.denominator
+        num, den = self.num, self.den
+        dv = _hom_eval(den.prim, a, b)
         if dv == 0:
             raise PoleError(f"pole at {x} (cusp candidate)")
-        return self.num(x) / dv
+        nv = _hom_eval(num.prim, a, b)
+        cn, cd = num.content, den.content
+        top = cn.numerator * cd.denominator * nv
+        bottom = cn.denominator * cd.numerator * dv
+        # num(x) / den(x) = (cn / cd) * (nv / dv) * b^(deg den - deg num)
+        shift = den.degree - num.degree
+        if shift > 0:
+            top *= b ** shift
+        elif shift < 0:
+            bottom *= b ** -shift
+        return Fraction(top, bottom)
 
     def compose(self, inner: "RationalFunction") -> "RationalFunction":
         """self(inner), as a reduced rational function."""
@@ -558,7 +747,10 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> RationalFunction:
-        value = self.expr()
+        try:
+            value = self.expr()
+        except ZeroDivisionError:
+            self.error("division by zero")
         if self.peek():
             self.error("trailing input")
         return value
@@ -649,13 +841,6 @@ def parse_poly(text: str, var: str) -> Poly:
 # -- exact rational roots ----------------------------------------------------
 
 
-def _horner(v: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(v):
-        acc = acc * x + c
-    return acc
-
-
 def _sign_changes(chain: Sequence[Sequence[int]], x: int) -> int:
     signs = [v > 0 for v in (_horner(c, x) for c in chain) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
@@ -674,15 +859,15 @@ def rational_roots(p: Poly) -> list[Fraction]:
     """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
-    _, P = squarefree_part_poly(p).int_primitive()
-    a, d = P[-1], len(P) - 1
-    if d < 1:
+    if p.degree < 1:
         return []
-    chain = [list(P), [i * c for i, c in enumerate(P)][1:]]
+    P = _int_squarefree_part(p.prim)
+    a, d = P[-1], len(P) - 1
+    chain = [list(P), _int_derivative(P)]
     while len(chain[-1]) > 1:
         # next member: -(previous mod current), divided by its positive content
         r = _int_pseudo_rem(chain[-2], chain[-1])
-        g = reduce(math.gcd, r, 0)
+        g = math.gcd(*r)
         chain.append([-c // g for c in r])
     # a^deg(v) * v(z/a) has the sign of v(z/a), and chain[0] becomes a * Q
     chain = [[c * a ** (len(v) - 1 - i) for i, c in enumerate(v)] for v in chain]

@@ -55,7 +55,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -349,25 +352,6 @@ def sqrt_rational(r: RationalLike) -> Optional[Fraction]:
         return None
     ds = math.isqrt(r.denominator)
     if ds * ds != r.denominator:
-        return None
-    return Fraction(ns, ds)
-
-
-def nth_root_rational(r: RationalLike, n: int) -> Optional[Fraction]:
-    """Exact rational n-th root of r, or None if it does not exist."""
-    r = as_fraction(r)
-    if n <= 0:
-        raise ValueError("root index must be positive")
-    if r < 0:
-        if n % 2 == 0:
-            return None
-        root = nth_root_rational(-r, n)
-        return None if root is None else -root
-    ns = _exact_root(r.numerator, n)
-    if ns is None:
-        return None
-    ds = _exact_root(r.denominator, n)
-    if ds is None:
         return None
     return Fraction(ns, ds)
 

@@ -2,7 +2,10 @@
 
 Models are immutable; a degenerate model (discriminant zero) is
 representable so parametrization endpoints can be passed around, but any
-operation that needs an elliptic curve raises SingularModelError.
+operation that needs an elliptic curve raises SingularModelError.  The
+invariants b2 ... b8, c4, c6 and the discriminant are computed as plain ints
+on the integral model scaled by u = lcm of the coefficient denominators, and
+divided once by the matching power of u.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ from .rationals import RationalLike, as_fraction, factorize
 
 class SingularModelError(ValueError):
     """The model has discriminant zero where a smooth curve is required."""
+
+
+def _integral(coeffs: tuple[Fraction, ...], weights: tuple[int, ...]) -> tuple[int, list[int]]:
+    """u = lcm of the denominators, and the integers u^w * c."""
+    u = math.lcm(*(c.denominator for c in coeffs))
+    return u, [c.numerator * (u // c.denominator) * u ** (w - 1) for c, w in zip(coeffs, weights)]
 
 
 class Invariants(NamedTuple):
@@ -54,7 +63,8 @@ class GeneralModel:
     # __repr__ never read
     @functools.cached_property
     def _invariants(self) -> Invariants:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        # the integral model u^i * a_i, with u the lcm of the denominators
+        u, (a1, a2, a3, a4, a6) = _integral(self.coefficients(), (1, 2, 3, 4, 6))
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -62,8 +72,20 @@ class GeneralModel:
         c4 = b2 * b2 - 24 * b4
         c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
         disc = -(b2 * b2 * b8) - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        j = c4 ** 3 / disc if disc != 0 else None
-        return Invariants(b2, b4, b6, b8, c4, c6, disc, j)
+        j = Fraction(c4 ** 3, disc) if disc else None
+        u2 = u * u
+        u4 = u2 * u2
+        u6 = u4 * u2
+        return Invariants(
+            Fraction(b2, u2),
+            Fraction(b4, u4),
+            Fraction(b6, u6),
+            Fraction(b8, u4 * u4),
+            Fraction(c4, u4),
+            Fraction(c6, u6),
+            Fraction(disc, u6 * u6),
+            j,
+        )
 
     @property
     def discriminant(self) -> Fraction:
@@ -104,16 +126,25 @@ class ShortModel:
     def to_general(self) -> GeneralModel:
         return GeneralModel(0, 0, 0, self.A, self.B)
 
+    # cached in the instance dict, as GeneralModel._invariants is
+    @functools.cached_property
+    def _integral_disc(self) -> tuple[int, int, int]:
+        """(u, A', disc') for the integral model A' = u^4 A, B' = u^6 B,
+        whose discriminant is u^12 * disc."""
+        u, (A, B) = _integral((self.A, self.B), (4, 6))
+        return u, A, -16 * (4 * A ** 3 + 27 * B * B)
+
     @property
     def discriminant(self) -> Fraction:
-        return -16 * (4 * self.A ** 3 + 27 * self.B ** 2)
+        u, _, disc = self._integral_disc
+        return Fraction(disc, u ** 12)
 
     @property
     def j(self) -> Optional[Fraction]:
-        disc = self.discriminant
+        _, A, disc = self._integral_disc
         if disc == 0:
             return None
-        return -1728 * (4 * self.A) ** 3 / disc
+        return Fraction(-1728 * 64 * A ** 3, disc)
 
     def invariants(self) -> Invariants:
         return self.to_general().invariants()

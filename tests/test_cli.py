@@ -88,6 +88,13 @@ def test_family_cusp_is_an_error(capsys):
     assert "cusp" in report["counterexamples"][0]["reason"]
 
 
+def test_zero_denominator_on_the_command_line_is_an_error(capsys):
+    for argv in (["classify", "[1/0, 2]"], ["family", "--N", "2", "--t", "1/0"]):
+        code, report = _run(capsys, *argv)
+        assert code == 1, argv
+        assert report["counterexamples"][0]["reason"].startswith("error: zero denominator"), argv
+
+
 def test_search_reports(capsys):
     code, report = _run(capsys, "search", "--N", "10", "--which", "C", "--height", "30")
     assert code == 0

@@ -1,5 +1,6 @@
 """The family catalog: congruences, closed-form identities, finite levels."""
 
+import json
 import os
 import random
 import shutil
@@ -8,12 +9,12 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from squaredisc.cli import main
 from squaredisc.families import (
     ALL_LEVELS,
     THEOREM1_LEVELS,
     THEOREM2_LEVELS,
     CatalogError,
-    cstar_membership,
     family,
     finite_cases,
     finite_cases_scan,
@@ -155,14 +156,6 @@ def test_finite_cases_scan():
     assert all(r["cm_flag_consistent"] for r in cm_rows)
 
 
-def test_cstar_membership():
-    assert cstar_membership(2, 36)       # F_2(36) = 3600 = 60^2
-    assert family(2).F(F(36)) == 3600
-    assert not cstar_membership(2, 0)    # cusp of j_2
-    assert not cstar_membership(5, 1)    # F_5(1) = 148 is not a square
-    assert family(5).F(F(1)) == 148
-
-
 def test_parametrization_image_is_square():
     rng = random.Random(42)
     for n in (2, 3, 4, 6, 7, 8):
@@ -218,6 +211,23 @@ def test_corrupted_catalog_rejected(tmp_path):
     (work / "families.txt").write_text(bad)
     with pytest.raises(CatalogError, match="disagree"):
         load_catalog(str(work))
+
+
+def test_zero_divisor_in_catalog_is_a_catalog_error(tmp_path, monkeypatch, capsys):
+    src = os.path.join(os.path.dirname(os.path.abspath(load_catalog.__code__.co_filename)), "data")
+    text = open(os.path.join(src, "families.txt")).read()
+    line = "jmap    = (h+16)^3 / h\n"
+    assert text.count(line) == 1
+    for i, expr in enumerate(("(h+16)^3 / h / (h-h)", "(h+16)^3 * 0^-1")):
+        work = tmp_path / f"data{i}"
+        shutil.copytree(src, work)
+        (work / "families.txt").write_text(text.replace(line, f"jmap    = {expr}\n"))
+        with pytest.raises(CatalogError, match="division by zero"):
+            load_catalog(str(work))
+        monkeypatch.setenv("SQUAREDISC_DATA_DIR", str(work))
+        assert main(["family", "--N", "2", "--t", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert "division by zero" in report["counterexamples"][0]["reason"]
 
 
 def test_data_dir_env_override(tmp_path, monkeypatch):

@@ -213,3 +213,29 @@ def test_oracle_agreement_small():
                 continue
             assert chain_check(n, h0) == modular_poly_check(n, j1, j2) == True  # noqa: E712
             done += 1
+
+
+def _fraction_phi(phi, x, y):
+    """Phi_N(x, y) term by term over Q, from the stored (i, k, c) with i >= k."""
+    total = F(0)
+    for i, k, c in phi.coeffs:
+        total += c * x ** i * y ** k
+        if i != k:
+            total += c * x ** k * y ** i
+    return total
+
+
+def test_integer_modular_polynomial_matches_the_fraction_formula():
+    polys = load_modular_polynomials()
+    rng = random.Random(77)
+    for n in (2, 3, 7):
+        phi = polys[n]
+        fam = family(n)
+        for _ in range(40):
+            x = F(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+            y = F(rng.choice((0, 1, -1, rng.randint(-10 ** 6, 10 ** 6))), rng.randint(1, 10 ** 6))
+            assert phi(x, y) == _fraction_phi(phi, x, y)
+            assert phi(x, 1728) == _fraction_phi(phi, x, F(1728))
+            h = F(rng.randint(1, 500), rng.randint(1, 500))
+            j1, j2 = fam.j_map(h), fam.jprime_map(h)
+            assert phi(j1, j2) == 0 == _fraction_phi(phi, j1, j2)

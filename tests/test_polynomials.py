@@ -1,6 +1,9 @@
 """Polynomial algebra over Q: gcd, squarefree structure, square classes."""
 
+import contextlib
+import math
 import random
+import signal
 from datetime import timedelta
 from fractions import Fraction as F
 
@@ -230,3 +233,205 @@ def test_poly_string_rendering():
     assert (h ** 2 + 56 * h - 512).to_string() == "h^2 + 56*h - 512"
     assert Poly().to_string() == "0"
     assert RationalFunction(h + 64, h).to_string() == "(h + 64) / (h)"
+
+
+# -- the integer-content core against sympy ------------------------------------
+
+X = sympy.Symbol("x")
+_fracs = st.builds(F, st.integers(-(10 ** 6), 10 ** 6), st.integers(1, 60))
+
+
+def _poly_strategy(max_size):
+    return st.lists(_fracs, max_size=max_size).map(Poly)
+
+
+def _nonzero(strategy):
+    return strategy.filter(lambda p: not p.is_zero())
+
+
+_polys = _poly_strategy(7)
+_nonzero_polys = _nonzero(_polys)
+_points = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+_core = settings(max_examples=120, deadline=timedelta(seconds=5), derandomize=True)
+
+
+def _sym(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0], X, domain="QQ")
+
+
+def _sym_rf(f):
+    return _sym(f.num).as_expr() / _sym(f.den).as_expr()
+
+
+def test_poly_normal_form():
+    p = Poly([F(3, 4), F(-3, 2), 0, F(9, 8)])
+    assert p.content == F(3, 8) and p.prim == (2, -4, 0, 3)
+    assert (-p).content == F(-3, 8) and (-p).prim == p.prim
+    assert p.int_primitive() == (F(3, 8), (2, -4, 0, 3))
+    assert p.coeffs == (F(3, 4), F(-3, 2), F(0), F(9, 8))
+    assert Poly([0, 0]).prim == () and Poly().content == 0
+    assert Poly(["1/2", 3]) == Poly([F(1, 2), 3]) and Poly.const("0").is_zero()
+    assert p.monic().prim == p.prim and p.monic().lc == 1
+
+
+@_core
+@given(p=_polys, q=_polys, n=st.integers(0, 3))
+def test_ring_operations_against_sympy(p, q, n):
+    P, Q = _sym(p), _sym(q)
+    assert _sym(p * q) == P * Q
+    assert _sym(p + q) == P + Q
+    assert _sym(p - q) == P - Q
+    assert _sym(-p) == -P
+    assert _sym(p ** n) == P ** n
+    assert _sym(p.derivative()) == P.diff(X)
+    for r in (p * q, p + q, p - q):
+        # the normal form: primitive integer part with a positive lead
+        assert r.is_zero() or (math.gcd(*r.prim) == 1 and r.prim[-1] > 0)
+
+
+@_core
+@given(p=_polys, q=_nonzero_polys)
+def test_divmod_against_sympy(p, q):
+    quo, rem = p.divmod(q)
+    squo, srem = sympy.div(_sym(p), _sym(q))
+    assert (_sym(quo), _sym(rem)) == (squo, srem)
+    assert (p * q).exact_div(q) == p
+
+
+@_core
+@given(p=_nonzero_polys, q=_nonzero_polys, g=_nonzero_polys)
+def test_gcd_against_sympy_on_shared_factors(p, q, g):
+    ours = poly_gcd(p * g, q * g)
+    assert _sym(ours) == sympy.gcd(_sym(p * g), _sym(q * g))
+    assert ours.lc == 1
+
+
+_factor_lists = st.lists(st.tuples(_nonzero_polys, st.integers(1, 4)), min_size=1, max_size=4)
+
+
+@_core
+@given(factors=_factor_lists)
+def test_squarefree_decomposition_against_sympy(factors):
+    p = Poly.const(1)
+    for f, k in factors:
+        p = p * f ** k
+    assume(p.degree <= 24)
+    c, parts = squarefree_decomposition(p)
+    lc, sparts = _sym(p).sqf_list()
+    assert c == F(str(lc))
+    assert [(_sym(a), k) for a, k in parts] == [(s, k) for s, k in sparts if s.degree() > 0]
+
+
+@_core
+@given(num=_factor_lists, den=_factor_lists)
+def test_square_classes_against_sympy(num, den):
+    n = d = Poly.const(1)
+    for f, k in num:
+        n = n * f ** k
+    for f, k in den:
+        d = d * f ** k
+    assume(n.degree <= 16 and d.degree <= 16)
+    f = RationalFunction(n, d)
+    M, c = mod_square_class_rf(f)
+    lc, sparts = (_sym(f.num) * _sym(f.den)).sqf_list()
+    odd = sympy.Poly(1, X, domain="QQ")
+    for s, k in sparts:
+        if k % 2:
+            odd *= s
+    assert (_sym(M), c) == (odd, F(str(lc)))
+    # f is a square iff its square class is trivial
+    root = rf_sqrt(f)
+    assert (root is not None) == (M == 1 and _is_rational_square(c))
+    if root is not None:
+        assert root * root == f and root.num.lc > 0
+    assert rf_sqrt(f * f) in (f, -f)
+
+
+def _is_rational_square(c):
+    return c >= 0 and math.isqrt(c.numerator) ** 2 == c.numerator and math.isqrt(c.denominator) ** 2 == c.denominator
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True)
+@given(
+    f_num=_poly_strategy(5),
+    f_den=_nonzero(_poly_strategy(5)),
+    g_num=_poly_strategy(4),
+    g_den=_nonzero(_poly_strategy(4)),
+)
+def test_compose_against_sympy(f_num, f_den, g_num, g_den):
+    f = RationalFunction(f_num, f_den)
+    g = RationalFunction(g_num, g_den)
+    expected = sympy.cancel(_sym_rf(f).subs(X, _sym_rf(g)))
+    try:
+        ours = f.compose(g)
+    except ZeroDivisionError:
+        # g is a constant at a pole of f
+        assert g.is_constant() and expected.has(sympy.zoo, sympy.nan)
+        return
+    assert sympy.cancel(_sym_rf(ours) - expected) == 0
+
+
+@_core
+@given(num=_polys, den=_nonzero_polys, x=_points)
+def test_evaluation_at_rationals_and_poles_against_sympy(num, den, x):
+    f = RationalFunction(num, den)
+    expr = sympy.cancel(_sym_rf(f))
+    _, sym_den = sympy.fraction(expr)
+    assert num(x) == F(str(_sym(num).eval(sympy.Rational(x.numerator, x.denominator))))
+    at = sympy.Rational(x.numerator, x.denominator)
+    if sym_den.subs(X, at) == 0:
+        with pytest.raises(PoleError):
+            f(x)
+    else:
+        assert f(x) == F(str(expr.subs(X, at)))
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _phi_sized(rng, degree, digits):
+    bound = 10 ** digits
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)] + [rng.randint(bound // 10, bound)]
+    return Poly(coeffs) * F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32))
+def test_phi_sized_polynomials(seed):
+    """Degree 12-36 and 100-340-digit coefficients, the size of the modular
+    polynomials Phi_N for composite N, within a fixed time per example."""
+    rng = random.Random(seed)
+    digits = rng.randint(100, 340)
+    p = _phi_sized(rng, rng.randint(12, 36), digits)
+    q = _phi_sized(rng, rng.randint(12, 36), digits)
+    g = _phi_sized(rng, rng.randint(1, 4), digits)
+    x = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+    with _time_bound(20):
+        assert (p * q + g).divmod(q) == (p, g)
+        assert (p * q).exact_div(p) == q
+        assert _sym(p + q) == _sym(p) + _sym(q)
+        assert poly_gcd(p * g, q * g) == g.monic()
+        c, parts = squarefree_decomposition(p * g ** 2)
+        lc, sparts = _sym(p * g ** 2).sqf_list()
+        assert c == F(str(lc)) and [(_sym(a), k) for a, k in parts] == sparts
+        reference = F(0)
+        for coeff in reversed(p.coeffs):
+            reference = reference * x + coeff
+        assert p(x) == reference
+        f = RationalFunction(p, q * Poly([-x, 1]))
+        assert f(x + 1) == p(x + 1) / q(x + 1) / (x + 1 - x)
+        with pytest.raises(PoleError):
+            f(x)
+        inner = RationalFunction(Poly([x, 1, 1]), Poly([1, 1]))
+        assert RationalFunction(p).compose(inner)(F(2)) == p(inner(F(2)))

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from squaredisc.rationals import (
     _affine_x,
+    as_fraction,
     factorize,
     is_square_rational,
-    nth_root_rational,
     same_square_class,
     sqrt_rational,
     squarefree_part,
@@ -30,6 +30,12 @@ def test_is_square_basic():
     n = 2 ** 12 * 3 ** 12 * 1729 ** 2
     assert all(e % 2 == 0 for e in sympy.factorint(n).values())
     assert is_square_rational(n)
+
+
+def test_as_fraction_rejects_a_zero_denominator():
+    assert as_fraction(" -6/4 ") == F(-3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction("1/0")
 
 
 def test_sqrt_rational():
@@ -65,14 +71,6 @@ def test_same_square_class():
     assert same_square_class(257 ** 3 - 1728, 65)
     with pytest.raises(ValueError):
         same_square_class(0, 3)
-
-
-def test_nth_root_of_huge_integers():
-    # far beyond the float range: 10^400 overflows a float
-    assert nth_root_rational(10 ** 400, 2) == 10 ** 200
-    assert nth_root_rational(10 ** 400 + 1, 2) is None
-    assert nth_root_rational(F(1, 10 ** 400), 4) == F(1, 10 ** 100)
-    assert nth_root_rational(-(3 ** 999), 3) == -(3 ** 333)
 
 
 def _random_nonzero(rng, lim=1000):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaredisc.rationals import same_square_class
 from squaredisc.weierstrass import (
@@ -191,3 +193,52 @@ def test_curve_serialization():
     assert parse_curve("[0,-1,1,0,0]") == GeneralModel(0, -1, 1, 0, 0)
     with pytest.raises(ValueError):
         parse_curve("[1, 2, 3]")
+
+
+def _fraction_invariants(a1, a2, a3, a4, a6):
+    """The textbook formulas, evaluated coefficient by coefficient over Q."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
+    disc = -(b2 * b2 * b8) - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return (b2, b4, b6, b8, c4, c6, disc, c4 ** 3 / disc if disc else None)
+
+
+_entries = st.builds(F, st.integers(-(10 ** 9), 10 ** 9), st.integers(1, 10 ** 9)) | st.integers(-3, 3).map(F)
+
+# singular models (disc = 0), with integral and non-integral coefficients
+_SINGULAR = [
+    (0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0),              # y^2 = x^3 + x^2, a node
+    (0, 0, 0, -3, 2),             # y^2 = (x - 1)^2 (x + 2)
+    (0, 0, 0, F(-3, 4), F(1, 4)),  # y^2 = (x - 1/2)^2 (x + 1)
+    transform(ShortModel(-3, 2), ChangeOfVariables(F(2, 3), F(1, 2), F(1, 5), F(-1, 7))).coefficients(),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coeffs=st.tuples(_entries, _entries, _entries, _entries, _entries))
+def test_integer_invariants_match_the_fraction_formulas(coeffs):
+    assert tuple(GeneralModel(*coeffs).invariants()) == _fraction_invariants(*coeffs)
+    A, B = coeffs[3], coeffs[4]
+    short = ShortModel(A, B)
+    disc = -16 * (4 * A ** 3 + 27 * B ** 2)
+    assert short.discriminant == disc
+    assert short.j == (-1728 * (4 * A) ** 3 / disc if disc else None)
+    assert tuple(short.invariants()) == _fraction_invariants(0, 0, 0, A, B)
+    # the integral form is cached per instance, outside the model's identity
+    fresh = ShortModel(A, B)
+    assert "_integral_disc" in vars(short) and "_integral_disc" not in vars(fresh)
+    assert short == fresh and hash(short) == hash(fresh) and repr(short) == repr(fresh)
+
+
+def test_singular_models_have_no_j():
+    for coeffs in _SINGULAR:
+        inv = GeneralModel(*coeffs).invariants()
+        assert inv.disc == 0 and inv.j is None, coeffs
+        assert tuple(inv) == _fraction_invariants(*map(F, coeffs))
+    for A, B in ((0, 0), (-3, 2), (F(-3, 4), F(1, 4)), (F(-3, 100), F(1, 500))):
+        assert ShortModel(A, B).discriminant == 0 and ShortModel(A, B).j is None
