@@ -168,6 +168,14 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines)
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for counts and heights, which must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parse_args leaves it unchanged."""
@@ -195,15 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--height", type=positive_int, default=DEFAULT_HEIGHT)
+    p.add_argument("--samples", type=positive_int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", parents=[common], help="bounded-height point search on C_N or X_N")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--which", choices=("C", "X"), default="C")
-    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
+    p.add_argument("--height", type=positive_int, default=DEFAULT_HEIGHT)
     p.set_defaults(func=cmd_search)
     return parser
 

@@ -87,11 +87,11 @@ class Catalog:
         return self.families[N]
 
 
+_BUNDLED_DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
 def default_data_dir() -> str:
-    env = os.environ.get(DATA_ENV_VAR)
-    if env:
-        return env
-    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    return os.environ.get(DATA_ENV_VAR) or _BUNDLED_DATA_DIR
 
 
 def _parse_points(text: str, arity: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -15,17 +15,18 @@ reduction used by the congruence checks is computed through Yun's squarefree
 decomposition.  Degrees in this project stay around 30, so the dense
 representation is entirely adequate.  Rational roots come from one
 integer-only finder: the monic transform turns them into integer roots,
-which a Sturm chain over Z and bisection on integer endpoints locate with
-plain-int Horner evaluation.
+which are found p-adically, by roots modulo a small prime, Hensel lifting
+past twice their Cauchy bound, an exact check, and exact deflation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .rationals import as_fraction, sqrt_rational
+from .rationals import _SMALL_PRIMES, as_fraction, is_probable_prime, sqrt_rational
 
 Scalar = Union[Fraction, int]
 
@@ -76,7 +77,7 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
 
     s > 0 is a power of |lc(b)|, picked up only at steps whose leading term
     lc(b) does not divide; so an exact division is exact integer division
-    with s = 1, and r has the sign of a mod b, as Sturm chains need.
+    with s = 1, and r is s times the remainder of a mod b over Q.
     """
     lc, db = b[-1], len(b) - 1
     m = abs(lc)
@@ -841,9 +842,73 @@ def parse_poly(text: str, var: str) -> Poly:
 # -- exact rational roots ----------------------------------------------------
 
 
-def _sign_changes(chain: Sequence[Sequence[int]], x: int) -> int:
-    signs = [v > 0 for v in (_horner(c, x) for c in chain) if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+def _horner_mod(v: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(v):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots_mod(q: Sequence[int], p: int) -> Optional[list[int]]:
+    """The roots of q modulo the prime p, or None if one of them is repeated."""
+    v = [c % p for c in q]
+    dv = _int_derivative(v)
+    roots = []
+    for r in range(p):
+        if not _horner_mod(v, r, p):
+            if not _horner_mod(dv, r, p):
+                return None
+            roots.append(r)
+    return roots
+
+
+def _primes() -> Iterator[int]:
+    yield from _SMALL_PRIMES
+    yield from filter(is_probable_prime, itertools.count(_SMALL_PRIMES[-1] + 2, 2))
+
+
+def _deflate(q: Sequence[int], z: int) -> tuple[list[int], int]:
+    """(q / (x - z), q(z)) by synthetic division: Horner, keeping each step."""
+    out = [0] * (len(q) - 1)
+    acc = 0
+    for i in range(len(q) - 1, 0, -1):
+        acc = acc * z + q[i]
+        out[i - 1] = acc
+    return out, acc * z + q[0]
+
+
+def _monic_integer_roots(q: list[int], bound: int) -> list[int]:
+    """The integer roots of the squarefree monic q, all of them below bound
+    in absolute value."""
+    if len(q) == 2:
+        return [-q[0]]
+    if len(q) == 3:
+        disc = q[1] * q[1] - 4 * q[0]  # nonzero: q is squarefree
+        if disc < 0:
+            return []
+        s = math.isqrt(disc)
+        # s^2 = q1^2 (mod 4) makes s = q1 (mod 2), so both roots are integers
+        return [(-q[1] - s) // 2, (-q[1] + s) // 2] if s * s == disc else []
+    for p in _primes():
+        residues = _simple_roots_mod(q, p)
+        if residues is not None:
+            break
+    roots = []
+    for r in residues:
+        if len(q) <= 3:
+            return roots + _monic_integer_roots(q, bound)
+        dq = _int_derivative(q)
+        z, m = r, p
+        while m <= 2 * bound:
+            m *= m
+            z = (z - _horner_mod(q, z, m) * pow(_horner_mod(dq, z, m), -1, m)) % m
+        if 2 * z > m:
+            z -= m
+        quotient, value = _deflate(q, z)
+        if not value:
+            roots.append(z)
+            q = quotient
+    return roots
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
@@ -851,11 +916,26 @@ def rational_roots(p: Poly) -> list[Fraction]:
 
     Let P be the squarefree primitive integer form of p, with leading
     coefficient a > 0 and degree d.  Every rational root of P is z/a for an
-    integer root z of the monic Q(z) = a^(d-1) * P(z/a), and |z| < a + max|P|
-    by Cauchy's bound.  The Sturm chain of P over Z, carried through the same
-    substitution, counts the roots of Q in half-open integer intervals;
-    bisection on integer endpoints, with plain-int Horner evaluation, then
-    pins each root to a unit interval and keeps it if it is an integer.
+    integer root z of the monic Q(z) = a^(d-1) * P(z/a), and |z| < B =
+    a + max|P| by Cauchy's bound.  The integer roots of Q are found
+    p-adically (Loos 1983; von zur Gathen and Gerhard, section 15.4):
+
+    - Take the first prime p at which every root of Q mod p is simple
+      (Q'(r) != 0 mod p), found by trying all p residues.  Q is squarefree,
+      so only the finitely many primes dividing its discriminant can fail.
+      An integer root reduces to a root mod p, so none mod p means none.
+    - A simple root r mod p lifts to exactly one root mod p^k for each k
+      (Hensel): if z and z + t p^j (j > 0, p not dividing t) were both
+      roots mod p^(j+1), Q(z + t p^j) = Q(z) + t p^j Q'(z) mod p^(j+1)
+      would force p | Q'(z), that is p | Q'(r).
+      Newton steps z <- z - Q(z) / Q'(z), each mod the square of the last
+      modulus, find that root, and an integer root congruent to r is
+      congruent to it mod every p^k.
+    - Stop at a modulus m > 2B.  An integer root z has |z| < B < m/2, so it
+      is the symmetric residue of the lift, the one in (-m/2, m/2].
+    - Keep the residue only if Q at it is exactly 0, which proves it a root,
+      and divide Q by (x - z); the other roots mod p stay simple roots of
+      the quotient.  Degrees 2 and 1 are solved in closed form.
     """
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
@@ -863,37 +943,5 @@ def rational_roots(p: Poly) -> list[Fraction]:
         return []
     P = _int_squarefree_part(p.prim)
     a, d = P[-1], len(P) - 1
-    chain = [list(P), _int_derivative(P)]
-    while len(chain[-1]) > 1:
-        # next member: -(previous mod current), divided by its positive content
-        r = _int_pseudo_rem(chain[-2], chain[-1])
-        g = math.gcd(*r)
-        chain.append([-c // g for c in r])
-    # a^deg(v) * v(z/a) has the sign of v(z/a), and chain[0] becomes a * Q
-    chain = [[c * a ** (len(v) - 1 - i) for i, c in enumerate(v)] for v in chain]
-    q = chain[0]
-    bound = a + max(abs(c) for c in P)
-    roots = []
-    work = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
-    while work:
-        lo, hi, vlo, vhi = work.pop()
-        if vlo == vhi:
-            continue
-        if vlo - vhi > 1 and hi - lo > 1:
-            mid = (lo + hi) // 2
-            vmid = _sign_changes(chain, mid)
-            work += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-            continue
-        # one simple root in (lo, hi], or the unit interval's only integer hi:
-        # q keeps the sign of q(hi) on the root's right and flips on its left
-        qhi = _horner(q, hi)
-        while qhi and hi - lo > 1:
-            mid = (lo + hi) // 2
-            qmid = _horner(q, mid)
-            if qmid == 0 or (qmid > 0) == (qhi > 0):
-                hi, qhi = mid, qmid
-            else:
-                lo = mid
-        if qhi == 0:
-            roots.append(Fraction(hi, a))
-    return sorted(roots)
+    Q = [c * a ** (d - 1 - i) for i, c in enumerate(P[:-1])] + [1]
+    return sorted(Fraction(z, a) for z in _monic_integer_roots(Q, a + max(map(abs, P))))

@@ -104,6 +104,23 @@ def test_search_reports(capsys):
     assert report["verdicts"][0]["count"] == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "thm1", "--samples", "-2"),
+        ("verify", "--suite", "thm1", "--samples", "0"),
+        ("verify", "--suite", "tables-C", "--height", "0"),
+        ("search", "--N", "10", "--height", "-3"),
+        ("search", "--N", "10", "--height", "ten"),
+    ],
+)
+def test_non_positive_samples_and_heights_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
 def test_verify_exit_status_and_determinism(capsys):
     code, report1 = _run(capsys, "verify", "--suite", "congruences")
     assert code == 0

@@ -229,6 +229,44 @@ def test_rational_roots_against_sympy(lead, roots, cofactor):
     assert rational_roots(p) == expected
 
 
+_PRIMORIAL_60 = math.prod(p for p in range(2, 60) if sympy.isprime(p))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # roots congruent modulo every prime below 60: those primes are skipped
+        (h - 7) * (h - 7 - _PRIMORIAL_60) * (h ** 2 + 1),
+        (2 * h + 1) * (2 * h + 1 + 2 * _PRIMORIAL_60) * (h ** 2 + h + 1) * (h - 5),
+        # leading coefficients divisible by 2*3*5*7
+        210 * (h - F(1, 2)) * (h + F(5, 7)) * (h ** 2 - 2),
+        (210 * h + 1) * (h - 3) * (h ** 2 + 3),
+        2310 * h ** 5 - 7 * h + 11,
+        # zero roots
+        h * (h - 4) * (h ** 2 + 5),
+        h * (h ** 2 - 2),
+        (3 * h ** 2 + 1) * h ** 3,
+        # repeated roots: the input is not squarefree
+        (h - 2) ** 3 * (3 * h + 1) ** 2 * (h ** 2 + 1),
+        (h + 1) ** 4,
+        (5 * h - 3) ** 2 * (h ** 3 - 2) ** 2,
+        # degrees 1 and 2, square and non-square discriminants
+        6 * h + 4,
+        h - F(7, 3),
+        (3 * h - 2) * (2 * h + 1),
+        h ** 2 - 2,
+        h ** 2 + 1,
+        4 * h ** 2 - 9,
+        # no root mod 3, with a repeated root mod 2 that rules out p = 2
+        h ** 3 + 3 * h ** 2 - 4 * h + 4,
+    ],
+)
+def test_rational_roots_on_inputs_aimed_at_the_prime_choice(p):
+    x = sympy.Symbol("x")
+    linear = [f for f, _ in sympy.factor_list(_to_sympy(p, x), x)[1] if sympy.degree(f, x) == 1]
+    assert rational_roots(p) == sorted(F(str(sympy.solve(f, x)[0])) for f in linear)
+
+
 def test_poly_string_rendering():
     assert (h ** 2 + 56 * h - 512).to_string() == "h^2 + 56*h - 512"
     assert Poly().to_string() == "0"
@@ -435,3 +473,16 @@ def test_phi_sized_polynomials(seed):
             f(x)
         inner = RationalFunction(Poly([x, 1, 1]), Poly([1, 1]))
         assert RationalFunction(p).compose(inner)(F(2)) == p(inner(F(2)))
+
+
+def test_rational_roots_of_phi_sized_polynomials():
+    """-5 and 3/7 planted in a degree-36 polynomial with 340-digit
+    coefficients, which is irreducible by Eisenstein at 2, so that they are
+    its only rational roots."""
+    rng = random.Random(36)
+    bound = 10 ** 340
+    coeffs = [2 * rng.randint(-bound, bound) for _ in range(36)] + [2 * rng.randint(0, bound) + 1]
+    coeffs[0] = 2 * (2 * rng.randint(bound // 10, bound) + 1)
+    p = Poly(coeffs) * (h + 5) * (7 * h - 3)
+    with _time_bound(5):
+        assert rational_roots(p) == [F(-5), F(3, 7)]
