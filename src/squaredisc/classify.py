@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .rationals import RationalLike, as_fraction, is_square_rational, sqrt_rational
-from .weierstrass import AnyModel, ShortModel, as_general, short_form
+from .weierstrass import AnyModel, ShortModel, short_form
 
 BRANCH_GENERIC = "generic-j"
 BRANCH_J_ZERO = "j-zero"
@@ -75,7 +75,7 @@ def square_disc_by_j(m: AnyModel) -> SquareDiscVerdict:
     rational square.  Agrees with square_disc_direct on every curve.
     """
     m.assert_nonsingular()
-    j = as_general(m).j
+    j = m.j
     if j == 0:
         return SquareDiscVerdict(False, BRANCH_J_ZERO, None)
     if j == 1728:

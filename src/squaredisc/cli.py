@@ -223,7 +223,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         report = args.func(args)
     except (PoleError, SingularModelError, ValueError, KeyError, OSError) as exc:
-        report = _report(args.command, {}, [], [{"reason": f"error: {exc}"}], None)
+        # str() of a KeyError is the repr of its argument, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        report = _report(args.command, {}, [], [{"reason": f"error: {message}"}], None)
     if args.timing:
         report["timing"] = round(time.perf_counter() - start, 6)
     if args.human:

@@ -7,10 +7,34 @@ model with the first j-invariant to the second.  For N in {2,3,7} the
 classical modular polynomial Phi_N is evaluated instead; its coefficients
 live in a data file that is spot-checked against the j-maps at load time
 and refuses to load on any failure.
+
+The chain runs on integer models y^2 = x^3 + Ax + B (Velu, Isogenies entre
+courbes elliptiques, C. R. Acad. Sci. Paris 273, 1971):
+
+- Start.  The chain compares only j-invariants, and twisting by d maps
+  kernels x0 to d*x0 and codomains to their twists, so any twist of the
+  start will do.  For j = n/m outside {0, 1728} it is
+  (-27nD, 54nD^2) with D = n - 1728m, the twist by D of the reference
+  model (-27n/D, 54n/D); nothing is factored.  At j in {0, 1728} the given
+  model is kept up to the isomorphism (u^4 A, u^6 B), u the lcm of its
+  denominators, because its quartic or sextic twist matters there.
+- 2-steps.  The kernel at a root x0 of x^3 + Ax + B gives the codomain
+  (A', B') = (A - 5t, B - 7x0 t) with t = 3x0^2 + A.  Using
+  B = -x0^3 - A x0, its cubic factors as
+  (X + 2x0)(X^2 - 2x0 X + A' + 4x0^2), whose quadratic factor has
+  discriminant 4x0^2 - 4(A' + 4x0^2) = -4(A - 5t) - 12x0^2 = 16t.  So the
+  codomain's rational 2-torsion is the dual kernel -2x0 and, when t is a
+  square, x0 +- 2 sqrt(t).  Only the start cubic (and a cubic after a
+  3-step) needs a root search; every later 2-step takes one isqrt.
+- 3-steps.  The rational roots of psi_3 = 3x^4 + 6Ax^2 + 12Bx - A^2 are
+  integers on an integer model: a root p/3 with 3 not dividing p would
+  give 0 = 27 psi_3(p/3) = p^4 + 18Ap^2 + 108Bp - 27A^2 = p^4 (mod 9).
+- Each j is computed once, as 6912 A^3 / (4A^3 + 27B^2).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from collections import deque
@@ -52,7 +76,11 @@ def two_torsion_x(m: ShortModel) -> list[Fraction]:
 
 def three_division_poly(m: ShortModel) -> Poly:
     """psi_3 = 3x^4 + 6Ax^2 + 12Bx - A^2."""
-    return Poly([-m.A * m.A, 12 * m.B, 6 * m.A, 0, 3])
+    return _psi_3(m.A, m.B)
+
+
+def _psi_3(A, B) -> Poly:
+    return Poly([-A * A, 12 * B, 6 * A, 0, 3])
 
 
 def three_kernel_x(m: ShortModel) -> list[Fraction]:
@@ -62,16 +90,46 @@ def three_kernel_x(m: ShortModel) -> list[Fraction]:
     return rational_roots(three_division_poly(m))
 
 
+def _velu_2(A, B, x0):
+    """Codomain (A - 5t, B - 7*x0*t), t = 3x0^2 + A, of the 2-step with
+    kernel x0; exact on ints and Fractions alike."""
+    t = 3 * x0 * x0 + A
+    return A - 5 * t, B - 7 * x0 * t
+
+
+def _velu_3(A, B, x0):
+    """Codomain (A - 5t, B - 7w) of the 3-step with kernel x-coordinate x0,
+    where t = 2(3x0^2 + A) and w = 4(x0^3 + A x0 + B) + x0 t."""
+    t = 2 * (3 * x0 * x0 + A)
+    w = 4 * (x0 ** 3 + A * x0 + B) + x0 * t
+    return A - 5 * t, B - 7 * w
+
+
+def _codomain_two_torsion(A: int, x0: int) -> list[int]:
+    """The rational 2-torsion of the integer 2-step codomain at x0 other than
+    the dual kernel -2x0: x0 +- 2 sqrt(t) if t = 3x0^2 + A is a square."""
+    t = 3 * x0 * x0 + A  # nonzero: x0 is a simple root
+    s = math.isqrt(t) if t > 0 else 0
+    return [x0 - 2 * s, x0 + 2 * s] if s * s == t else []
+
+
+def _int_roots(p: Poly) -> list[int]:
+    """The rational roots of p, where they are all integers: p is a monic
+    cubic, or psi_3 of an integer model."""
+    return [int(x) for x in rational_roots(p)]
+
+
+def _j(A: int, B: int) -> Fraction:
+    return Fraction(6912 * A ** 3, 4 * A ** 3 + 27 * B * B)
+
+
 def velu_2(m: ShortModel, x0: RationalLike) -> IsogenyStep:
-    """Quotient by the order-2 subgroup at x0: with t = 3x0^2 + A and
-    w = x0*t, the codomain is (A - 5t, B - 7w)."""
+    """Quotient by the order-2 subgroup at x0: with t = 3x0^2 + A the
+    codomain is (A - 5t, B - 7*x0*t)."""
     x0 = as_fraction(x0)
     if x0 ** 3 + m.A * x0 + m.B != 0:
         raise ValueError(f"{x0} is not a 2-torsion x-coordinate of {m}")
-    t = 3 * x0 * x0 + m.A
-    w = x0 * t
-    codomain = ShortModel(m.A - 5 * t, m.B - 7 * w)
-    return IsogenyStep(2, m, codomain, x0)
+    return IsogenyStep(2, m, ShortModel(*_velu_2(m.A, m.B, x0)), x0)
 
 
 def velu_odd(m: ShortModel, x0: RationalLike, degree: int = 3) -> IsogenyStep:
@@ -85,18 +143,19 @@ def velu_odd(m: ShortModel, x0: RationalLike, degree: int = 3) -> IsogenyStep:
     x0 = as_fraction(x0)
     if three_division_poly(m)(x0) != 0:
         raise ValueError(f"{x0} is not a 3-kernel x-coordinate of {m}")
-    ysq = x0 ** 3 + m.A * x0 + m.B
-    t = 2 * (3 * x0 * x0 + m.A)
-    u = 4 * ysq
-    w = u + x0 * t
-    codomain = ShortModel(m.A - 5 * t, m.B - 7 * w)
-    return IsogenyStep(3, m, codomain, x0)
+    return IsogenyStep(3, m, ShortModel(*_velu_3(m.A, m.B, x0)), x0)
 
 
-def _steps_of_degree(m: ShortModel, degree: int) -> list[IsogenyStep]:
-    if degree == 2:
-        return [velu_2(m, x0) for x0 in two_torsion_x(m)]
-    return [velu_odd(m, x0) for x0 in three_kernel_x(m)]
+def _integral_start(m: ShortModel) -> tuple[int, int]:
+    """An integer model with the j-invariant of m; a twist of m for j outside
+    {0, 1728}, and isomorphic to m at j in {0, 1728}."""
+    j = m.j
+    if j not in (0, 1728):
+        n = j.numerator
+        D = n - 1728 * j.denominator
+        return -27 * n * D, 54 * n * D * D
+    u = math.lcm(m.A.denominator, m.B.denominator)
+    return int(m.A * u ** 4), int(m.B * u ** 6)
 
 
 def chain_exists(start: ShortModel, N: int, j_target: RationalLike) -> bool:
@@ -106,21 +165,29 @@ def chain_exists(start: ShortModel, N: int, j_target: RationalLike) -> bool:
         raise ValueError(f"chain oracle supports N in {CHAIN_LEVELS}")
     start.assert_nonsingular()
     j_target = as_fraction(j_target)
+    A0, B0 = _integral_start(start)
     for degrees in _CHAIN_STEPS[N]:
-        queue = deque([(start, (start.j,), 0)])
+        last = len(degrees) - 1
+        # (A, B, (A, x0) of the 2-step that made it or None, j path)
+        queue = deque([(A0, B0, None, (start.j,))])
         while queue:
-            model, j_path, depth = queue.popleft()
-            if depth == len(degrees):
-                if j_path[-1] == j_target:
-                    return True
-                continue
-            for step in _steps_of_degree(model, degrees[depth]):
-                if step.codomain.is_singular():
-                    continue
-                j_new = step.codomain.j
+            A, B, parent, j_path = queue.popleft()
+            depth = len(j_path) - 1
+            if degrees[depth] == 2:
+                xs = _codomain_two_torsion(*parent) if parent else _int_roots(Poly([B, A, 0, 1]))
+                codomains = [(_velu_2(A, B, x0), (A, x0)) for x0 in xs]
+            else:
+                xs = _int_roots(_psi_3(A, B))
+                codomains = [(_velu_3(A, B, x0), None) for x0 in xs]
+            for (A1, B1), parent1 in codomains:
+                j_new = _j(A1, B1)
                 if j_new in j_path:  # non-backtracking: never revisit a j
                     continue
-                queue.append((step.codomain, j_path + (j_new,), depth + 1))
+                if depth == last:
+                    if j_new == j_target:
+                        return True
+                    continue
+                queue.append((A1, B1, parent1, j_path + (j_new,)))
     return False
 
 

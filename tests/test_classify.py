@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from squaredisc.classify import (
     CM_J_INVARIANTS,
@@ -22,6 +24,7 @@ from squaredisc.weierstrass import (
     GeneralModel,
     ShortModel,
     SingularModelError,
+    as_general,
     quadratic_twist,
     quartic_twist,
     sextic_twist,
@@ -45,6 +48,37 @@ def test_square_disc_by_j_branches():
     v = square_disc_by_j(curve_from_j(1729))
     assert v.is_square and v.branch == "generic-j" and v.witness == 1
     assert v.witness ** 2 == F(1729) - 1728
+
+
+_q = st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)).filter(bool)
+
+
+@st.composite
+def _short_model_on_each_branch(draw):
+    """A short model on the generic branch (j - 1728 a square or not), at
+    j = 0, or at j = 1728 (-A a square or not)."""
+    kind = draw(st.sampled_from(("generic", "generic-square", "j0", "j1728", "j1728-square")))
+    d = draw(_q)
+    if kind == "generic":
+        m = ShortModel(draw(_q), draw(_q))
+    elif kind == "generic-square":
+        m = quadratic_twist(curve_from_j(draw(_q) ** 2 + 1728), d)
+    elif kind == "j0":
+        m = ShortModel(0, d)
+    elif kind == "j1728":
+        m = ShortModel(d, 0)
+    else:
+        m = ShortModel(-d * d, 0)
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=_short_model_on_each_branch())
+def test_square_disc_by_j_reads_the_same_on_short_and_general_models(m):
+    assume(not m.is_singular())
+    v = square_disc_by_j(m)
+    assert v == square_disc_by_j(as_general(m))
+    assert v.is_square == square_disc_direct(m)
 
 
 def test_j1728_verdict_does_not_factor_the_model_denominators():

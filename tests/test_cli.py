@@ -179,3 +179,9 @@ def test_calls_in_a_row_match_calls_one_at_a_time(capsys):
         one_at_a_time.append(run(argv))
     assert in_a_row == one_at_a_time
     assert build_parser() is build_parser()
+
+
+def test_missing_family_is_reported_without_quotes(capsys):
+    code, report = _run(capsys, "search", "--N", "99")
+    assert code == 1
+    assert report["counterexamples"] == [{"reason": "error: no parametrized family for N = 99"}]

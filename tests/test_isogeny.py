@@ -1,13 +1,19 @@
 """Velu steps, chain search, and the modular polynomial oracle."""
 
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from squaredisc.classify import curve_from_j
 from squaredisc.families import family
 from squaredisc.isogeny import (
     ModularDataError,
+    _codomain_two_torsion,
+    _velu_2,
     chain_check,
     chain_exists,
     load_modular_polynomials,
@@ -239,3 +245,106 @@ def test_integer_modular_polynomial_matches_the_fraction_formula():
             h = F(rng.randint(1, 500), rng.randint(1, 500))
             j1, j2 = fam.j_map(h), fam.jprime_map(h)
             assert phi(j1, j2) == 0 == _fraction_phi(phi, j1, j2)
+
+
+def _reference_endpoints(start, N):
+    """Every j at the end of a non-backtracking Velu chain of total degree N
+    from start, built from the public Fraction helpers alone."""
+    steps = {2: [(2,)], 3: [(3,)], 4: [(2, 2)], 6: [(2, 3), (3, 2)], 8: [(2, 2, 2)]}
+    ends = set()
+    for degrees in steps[N]:
+        queue = deque([(start, (start.j,))])
+        while queue:
+            model, path = queue.popleft()
+            if len(path) - 1 == len(degrees):
+                ends.add(path[-1])
+                continue
+            if degrees[len(path) - 1] == 2:
+                images = [velu_2(model, x0).codomain for x0 in two_torsion_x(model)]
+            else:
+                images = [velu_odd(model, x0).codomain for x0 in three_kernel_x(model)]
+            for image in images:
+                if image.j not in path:
+                    queue.append((image, path + (image.j,)))
+    return ends
+
+
+_small_q = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+_nonzero_q = _small_q.filter(bool)
+
+
+@st.composite
+def _chain_start(draw, N):
+    """(start model, candidate targets) for a level-N chain: a twisted family
+    start with its isogenous j, a j = 0 or j = 1728 start, a curve with full
+    2-torsion and a square t = (e1 - e2)(e1 - e3), or one with a rational
+    3-kernel x-coordinate."""
+    kind = draw(st.sampled_from(("family", "j0", "j1728", "two-torsion", "three-kernel")))
+    targets = []
+    if kind == "family":
+        fam = family(N)
+        h = draw(_small_q)
+        try:
+            j1, j2 = fam.j_map(h), fam.jprime_map(h)
+        except PoleError:
+            assume(False)
+        m = quadratic_twist(curve_from_j(j1), draw(_nonzero_q))
+        targets += [j2, j2 + 1, 2 * j2]
+    elif kind == "j0":
+        c = draw(_nonzero_q)
+        m = ShortModel(0, draw(st.sampled_from((1, -1, 2, 4, -4, 16, -27, 3))) * c ** 3)
+    elif kind == "j1728":
+        c = draw(_nonzero_q)
+        m = ShortModel(draw(st.sampled_from((1, -1, 2, -2, 4, -4, 3, -9))) * c ** 2, 0)
+    elif kind == "two-torsion":
+        k, u, v = draw(_nonzero_q), draw(_small_q), draw(_small_q)
+        e1 = k * (u * u + v * v) / 3
+        e2, e3 = e1 - k * u * u, e1 - k * v * v
+        m = ShortModel(e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
+    else:
+        x0, A = draw(_nonzero_q), draw(_small_q)
+        m = ShortModel(A, (A * A - 3 * x0 ** 4 - 6 * A * x0 * x0) / (12 * x0))  # psi_3(x0) = 0
+    assume(not m.is_singular())
+    return m, targets + [m.j, m.j + 1, F(1728), F(0)]
+
+
+@pytest.mark.parametrize("N", (2, 3, 4, 6, 8))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_chain_matches_the_fraction_reference(N, data):
+    m, targets = data.draw(_chain_start(N))
+    ends = _reference_endpoints(m, N)
+    for j in sorted(ends) + targets:
+        assert chain_exists(m, N, j) == (j in ends), (N, m, j)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(r=st.integers(-10 ** 6, 10 ** 6), c=st.integers(-10 ** 6, 10 ** 6))
+def test_closed_form_codomain_two_torsion(r, c):
+    A, B = c - r * r, -r * c  # x^3 + Ax + B = (x - r)(x^2 + rx + c)
+    m = ShortModel(A, B)
+    assume(not m.is_singular())
+    for x0 in two_torsion_x(m):
+        x0 = int(x0)
+        image = ShortModel(*_velu_2(A, B, x0))
+        assert image == velu_2(m, x0).codomain
+        closed = sorted(F(x) for x in [-2 * x0] + _codomain_two_torsion(A, x0))
+        assert two_torsion_x(image) == closed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    x0=st.builds(F, st.integers(-10 ** 4, 10 ** 4).filter(bool), st.integers(1, 10 ** 3)),
+    A=st.builds(F, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 3)),
+)
+def test_three_kernels_of_integer_models_are_integers(x0, A):
+    # psi_3(x0) = 0 fixes B; then scale to the integer model (u^4 A, u^6 B)
+    B = (A * A - 3 * x0 ** 4 - 6 * A * x0 * x0) / (12 * x0)
+    m = ShortModel(A, B)
+    assume(not m.is_singular())
+    u = A.denominator * B.denominator
+    integral = ShortModel(A * u ** 4, B * u ** 6)
+    assert integral.A.denominator == integral.B.denominator == 1
+    kernels = three_kernel_x(integral)
+    assert x0 * u * u in kernels
+    assert all(x.denominator == 1 for x in kernels)
