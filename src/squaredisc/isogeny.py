@@ -11,13 +11,12 @@ and refuses to load on any failure.
 The chain runs on integer models y^2 = x^3 + Ax + B (Velu, Isogenies entre
 courbes elliptiques, C. R. Acad. Sci. Paris 273, 1971):
 
-- Start.  The chain compares only j-invariants, and twisting by d maps
-  kernels x0 to d*x0 and codomains to their twists, so any twist of the
-  start will do.  For j = n/m outside {0, 1728} it is
-  (-27nD, 54nD^2) with D = n - 1728m, the twist by D of the reference
-  model (-27n/D, 54n/D); nothing is factored.  At j in {0, 1728} the given
-  model is kept up to the isomorphism (u^4 A, u^6 B), u the lcm of its
-  denominators, because its quartic or sextic twist matters there.
+- Start.  The chain compares only j-invariants, and the quadratic twist
+  by d maps kernels x0 to d*x0 and codomains to their twists ([-1] maps
+  each subgroup to itself, at every j), so it starts from the integer
+  twist (u^2 A, u^3 B), u the lcm of the denominators; nothing is
+  factored.  Quartic and sextic twists at j in {0, 1728} do change the
+  kernels, and a quadratic twist is neither.
 - 2-steps.  The kernel at a root x0 of x^3 + Ax + B gives the codomain
   (A', B') = (A - 5t, B - 7x0 t) with t = 3x0^2 + A.  Using
   B = -x0^3 - A x0, its cubic factors as
@@ -47,7 +46,7 @@ from .classify import curve_from_j
 from .families import default_data_dir, family
 from .polynomials import Poly, rational_roots
 from .rationals import RationalLike, as_fraction
-from .weierstrass import ShortModel
+from .weierstrass import ShortModel, _integral
 
 CHAIN_LEVELS = (2, 3, 4, 6, 8)
 MODULAR_LEVELS = (2, 3, 7)
@@ -146,18 +145,6 @@ def velu_odd(m: ShortModel, x0: RationalLike, degree: int = 3) -> IsogenyStep:
     return IsogenyStep(3, m, ShortModel(*_velu_3(m.A, m.B, x0)), x0)
 
 
-def _integral_start(m: ShortModel) -> tuple[int, int]:
-    """An integer model with the j-invariant of m; a twist of m for j outside
-    {0, 1728}, and isomorphic to m at j in {0, 1728}."""
-    j = m.j
-    if j not in (0, 1728):
-        n = j.numerator
-        D = n - 1728 * j.denominator
-        return -27 * n * D, 54 * n * D * D
-    u = math.lcm(m.A.denominator, m.B.denominator)
-    return int(m.A * u ** 4), int(m.B * u ** 6)
-
-
 def chain_exists(start: ShortModel, N: int, j_target: RationalLike) -> bool:
     """Non-backtracking Velu chain of total degree N from the given model
     to a curve with the target j-invariant (quadratic-twist insensitive)."""
@@ -165,7 +152,7 @@ def chain_exists(start: ShortModel, N: int, j_target: RationalLike) -> bool:
         raise ValueError(f"chain oracle supports N in {CHAIN_LEVELS}")
     start.assert_nonsingular()
     j_target = as_fraction(j_target)
-    A0, B0 = _integral_start(start)
+    A0, B0 = _integral((start.A, start.B), (2, 3))[1]
     for degrees in _CHAIN_STEPS[N]:
         last = len(degrees) - 1
         # (A, B, (A, x0) of the 2-step that made it or None, j path)

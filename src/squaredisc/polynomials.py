@@ -877,9 +877,9 @@ def _deflate(q: Sequence[int], z: int) -> tuple[list[int], int]:
     return out, acc * z + q[0]
 
 
-def _monic_integer_roots(q: list[int], bound: int, a: int) -> list[int]:
-    """The integer roots of the squarefree monic q = a^(d-1) * P(z/a), all of
-    them below bound in absolute value."""
+def _monic_integer_roots(q: list[int], bound: int) -> list[int]:
+    """The integer roots of the squarefree monic q, all of them below bound
+    in absolute value."""
     if len(q) == 2:
         return [-q[0]]
     if len(q) == 3:
@@ -890,15 +890,13 @@ def _monic_integer_roots(q: list[int], bound: int, a: int) -> list[int]:
         # s^2 = q1^2 (mod 4) makes s = q1 (mod 2), so both roots are integers
         return [(-q[1] - s) // 2, (-q[1] + s) // 2] if s * s == disc else []
     for p in _primes():
-        if not a % p:
-            continue  # q = z^d + c z^(d-1) mod p: 0 is a multiple root
         residues = _simple_roots_mod(q, p)
         if residues is not None:
             break
     roots = []
     for r in residues:
         if len(q) <= 3:
-            return roots + _monic_integer_roots(q, bound, a)
+            return roots + _monic_integer_roots(q, bound)
         dq = _int_derivative(q)
         z, m = r, p
         while m <= 2 * bound:
@@ -925,8 +923,6 @@ def rational_roots(p: Poly) -> list[Fraction]:
     - Take the first prime p at which every root of Q mod p is simple
       (Q'(r) != 0 mod p), found by trying all p residues.  Q is squarefree,
       so only the finitely many primes dividing its discriminant can fail.
-      A prime dividing a is skipped unseen: at d >= 3 it leaves
-      Q = z^d + c z^(d-1) mod p, with 0 a root of multiplicity d - 1.
       An integer root reduces to a root mod p, so none mod p means none.
     - A simple root r mod p lifts to exactly one root mod p^k for each k
       (Hensel): if z and z + t p^j (j > 0, p not dividing t) were both
@@ -948,4 +944,4 @@ def rational_roots(p: Poly) -> list[Fraction]:
     P = _int_squarefree_part(p.prim)
     a, d = P[-1], len(P) - 1
     Q = [c * a ** (d - 1 - i) for i, c in enumerate(P[:-1])] + [1]
-    return sorted(Fraction(z, a) for z in _monic_integer_roots(Q, a + max(map(abs, P)), a))
+    return sorted(Fraction(z, a) for z in _monic_integer_roots(Q, a + max(map(abs, P))))
